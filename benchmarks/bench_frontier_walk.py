@@ -1,31 +1,26 @@
-"""Compiled vs level-synchronous vs node-major stack walk: SELFJOINC.
+"""Compiled vs level-synchronous walk: SELFJOINC.
 
-Measures the two perf claims the frontier walk rests on, on the same
-multi-radius range-counting workload (every point counted at every
-radius of the ladder — SELFJOINC, Alg. 2):
+Measures the interpreter-overhead claim of the compiled C kernel
+(:func:`repro.index.ckernel.compiled_count_walk`, the per-depth advance
+and the rectangular leaf kernel as single C calls that release the GIL)
+against the numpy level walk it mirrors
+(:func:`repro.index.base.level_count_walk`, one grouped set of NumPy
+dispatches per tree depth), on the multi-radius range-counting workload
+(every point counted at every radius of the ladder — SELFJOINC,
+Alg. 2).
 
-- the dispatch-overhead claim of the level walk
-  (:func:`repro.index.base.level_count_walk`, one grouped set of NumPy
-  dispatches per tree depth) against the node-major stack walk
-  (:func:`repro.index.base.frontier_count_walk`, one set per visited
-  node); and
-- the interpreter-overhead claim of the compiled C kernel
-  (:func:`repro.index.ckernel.compiled_count_walk`, the per-depth
-  advance and the rectangular leaf kernel as single C calls that
-  release the GIL) against the level walk it mirrors.
-
-Counts are asserted bit-identical across all three walks before any
-time is recorded.  The dispatch counters ride along in the JSON —
-``steps`` is depth for the level/compiled walks and visited-node count
-for the stack walk.  A threads-backend sharding sweep
+Counts are asserted bit-identical across both walks, and against brute
+force on a query sample, before any time is recorded.  The dispatch
+counters ride along in the JSON (``steps`` is the tree depth walked).
+A threads-backend sharding sweep
 (:class:`repro.engine.parallel.ShardedWalkExecutor`,
 ``backend="thread"``) rides along for the compiled walk, whose kernel
 drops the GIL for the whole advance — the contrast numpy's
 fragmented-release level walk cannot match on Python-loop-heavy trees.
 
 Results land in ``benchmarks/results/BENCH_walk.json`` (the
-stack-vs-level section, unchanged schema plus the compiled columns)
-and ``benchmarks/results/BENCH_ckernel.json`` (compiled-kernel
+level-vs-compiled records) and
+``benchmarks/results/BENCH_ckernel.json`` (compiled-kernel
 acceptance: >=1.5x single-core over level at n=50k on 2-d vptree, with
 the machine block and kernel provenance embedded).
 
@@ -48,8 +43,8 @@ import numpy as np
 from _common import format_table, machine_info, results_path, scaled, write_result
 from repro.core.radii import define_radii
 from repro.engine.parallel import ShardedWalkExecutor
-from repro.index import build_index
-from repro.index.base import frontier_count_walk, level_count_walk
+from repro.index import BruteForceIndex, build_index
+from repro.index.base import level_count_walk
 from repro.index.ckernel import compiled_count_walk, kernel_available, kernel_info
 from repro.metric.base import MetricSpace
 
@@ -61,6 +56,9 @@ N_RADII = 15
 
 #: Dispatch counters the walks accumulate (see ``_WALK_STAT_KEYS``).
 OP_KEYS = ("steps", "entries", "distance_calls", "searchsorted_calls", "scatter_calls")
+
+#: Queries of the brute-force spot check run before timing.
+ORACLE_SAMPLE = 256
 
 
 def _dataset(n: int) -> MetricSpace:
@@ -87,40 +85,34 @@ def run(sizes: list[int], repeats: int, kind: str, workers: list[int]) -> dict:
         radii = define_radii(index, N_RADII)
         flat, ids = index.flat, index.ids
 
-        stack_ops: dict = {}
         level_ops: dict = {}
-        expected = frontier_count_walk(space, ids, radii, flat, stats=stack_ops)
-        counts = level_count_walk(space, ids, radii, flat, stats=level_ops)
-        assert np.array_equal(counts, expected), (
-            f"level walk diverged from the stack walk at n={n}"
-        )
+        expected = level_count_walk(space, ids, radii, flat, stats=level_ops)
+        sample = np.random.default_rng(1).choice(n, size=min(n, ORACLE_SAMPLE), replace=False)
+        assert np.array_equal(
+            expected[sample], BruteForceIndex(space).count_within_many(ids[sample], radii)
+        ), f"level walk diverged from brute force at n={n}"
         compiled_s = None
         compiled_ops: dict = {}
         if compiled_ok:
             compiled = compiled_count_walk(space, ids, radii, flat, stats=compiled_ops)
             assert np.array_equal(compiled, expected), (
-                f"compiled walk diverged from the stack walk at n={n}"
+                f"compiled walk diverged from the level walk at n={n}"
             )
             compiled_s = _best(
                 lambda: compiled_count_walk(space, ids, radii, flat), repeats
             )
 
-        stack_s = _best(lambda: frontier_count_walk(space, ids, radii, flat), repeats)
         level_s = _best(lambda: level_count_walk(space, ids, radii, flat), repeats)
         records.append(
             {
                 "n": n,
                 "index": kind,
-                "stack_s": round(stack_s, 4),
                 "level_s": round(level_s, 4),
                 "compiled_s": None if compiled_s is None else round(compiled_s, 4),
-                "speedup": round(stack_s / level_s, 2) if level_s > 0 else None,
                 "compiled_speedup": (
                     round(level_s / compiled_s, 2)
                     if compiled_s and compiled_s > 0 else None
                 ),
-                # per-node (stack) vs per-depth (level/compiled) dispatches
-                "stack_ops": {k: stack_ops[k] for k in OP_KEYS},
                 "level_ops": {k: level_ops[k] for k in OP_KEYS},
                 "compiled_ops": (
                     {k: compiled_ops[k] for k in OP_KEYS if k in compiled_ops}
@@ -232,10 +224,8 @@ def main() -> None:
     rows = [
         [
             r["n"],
-            f"{r['stack_s'] * 1000:.1f}",
             f"{r['level_s'] * 1000:.1f}",
             "n/a" if r["compiled_s"] is None else f"{r['compiled_s'] * 1000:.1f}",
-            f"{r['speedup']:.2f}x" if r["speedup"] is not None else "n/a",
             (
                 f"{r['compiled_speedup']:.2f}x"
                 if r["compiled_speedup"] is not None else "n/a"
@@ -246,8 +236,7 @@ def main() -> None:
     write_result(
         "frontier_walk",
         format_table(
-            ["n", "stack ms", "level ms", "compiled ms",
-             "level/stack", "compiled/level"],
+            ["n", "level ms", "compiled ms", "compiled/level"],
             rows,
             title="Frontier walks - SELFJOINC single-core wall-clock",
         ),

@@ -1,20 +1,14 @@
-"""Index construction bench: bulk level-synchronous vs per-insert builds.
+"""Index construction bench: level-synchronous build times per flat family.
 
-PR 1 moved the VP- and ball-tree builds from per-node recursion over
-Python ``__slots__`` objects to level-synchronous vectorized builds
-into :class:`~repro.index.base.FlatTree` arrays; this PR does the same
-for the three insertion-built trees.  The bench records both fronts:
-
-- ``mtree`` / ``slimtree`` / ``covertree``: the array bulk-load
-  (``build="bulk"``, the default) against the frozen per-insert
-  builder (``build="insert"``), counts asserted bit-identical on a
-  boundary-radii ladder *before* any timing.
-- ``vptree`` / ``balltree``: the flat build against the preserved
-  pre-refactor object implementations (:mod:`repro.index.reference`).
+Every flat-backed tree (VP-, ball, cover, M- and Slim-tree) is built one
+way: level-synchronously, straight into
+:class:`~repro.index.base.FlatTree` arrays.  This bench records the
+absolute build wall-clock and node count of each family across sizes,
+after asserting each tree's counts bit-identical to brute force on a
+boundary-radii ladder.
 
 Results land in ``benchmarks/results/BENCH_index_build.json`` (plus a
-text table).  That JSON is tracked in git as the perf record of the
-bulk-load PR.
+text table).  That JSON is tracked in git as the build-time record.
 
 Run:  python benchmarks/bench_index_build.py [--n N ...] [--repeats K]
 (the CI smoke step runs one tiny configuration; REPRO_BENCH_SCALE
@@ -31,24 +25,18 @@ import numpy as np
 
 from _common import format_table, machine_info, results_path, scaled, write_result
 from repro.index import BallTree, BruteForceIndex, CoverTree, MTree, SlimTree, VPTree
-from repro.index.reference import ReferenceBallTree, ReferenceVPTree
 from repro.metric.base import MetricSpace
 
 BOOST = scaled(1.0, lo=0.02, hi=20.0)
 
 DEFAULT_SIZES = [int(1_000 * BOOST), int(10_000 * BOOST), int(50_000 * BOOST)]
 
-#: Insertion-tree pairs: bulk (default) vs the frozen insert builder.
-BULK_PAIRS = [
+FAMILIES = [
+    ("vptree", VPTree),
+    ("balltree", BallTree),
+    ("covertree", CoverTree),
     ("mtree", MTree),
     ("slimtree", SlimTree),
-    ("covertree", CoverTree),
-]
-
-#: Flat-vs-reference pairs kept from the PR 1 refactor record.
-FLAT_PAIRS = [
-    ("vptree", VPTree, ReferenceVPTree),
-    ("balltree", BallTree, ReferenceBallTree),
 ]
 
 
@@ -66,22 +54,8 @@ def _best(f, repeats: int) -> float:
     return min(times)
 
 
-def _object_node_count(tree) -> int:
-    """Nodes of a pre-refactor object tree (children/left-right/bucket)."""
-    count = 0
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        count += 1
-        for child in (getattr(node, "inside", None), getattr(node, "outside", None),
-                      getattr(node, "left", None), getattr(node, "right", None)):
-            if child is not None:
-                stack.append(child)
-    return count
-
-
-def _assert_counts_identical(space: MetricSpace, bulk, insert) -> None:
-    """Bulk and insert trees must agree with brute force bit for bit."""
+def _assert_counts_exact(space: MetricSpace, tree, name: str) -> None:
+    """A tree must agree with brute force bit for bit before it is timed."""
     n = len(space)
     rng = np.random.default_rng(1)
     q = np.sort(rng.choice(n, size=min(n, 256), replace=False))
@@ -89,43 +63,22 @@ def _assert_counts_identical(space: MetricSpace, bulk, insert) -> None:
     ties = sorted(float(v) for v in d if v > 0)[:3]
     radii = np.sort(np.array([0.0] + ties + [1.0, 4.0], dtype=np.float64))
     expected = BruteForceIndex(space).count_within_many(q, radii)
-    for tree, label in ((bulk, "bulk"), (insert, "insert")):
-        got = tree.count_within_many(q, radii)
-        if not np.array_equal(got, expected):
-            raise AssertionError(f"{label} counts diverge from brute force")
+    if not np.array_equal(tree.count_within_many(q, radii), expected):
+        raise AssertionError(f"{name} counts diverge from brute force")
 
 
 def run(sizes: list[int], repeats: int) -> dict:
     records = []
     for n in sizes:
         space = _dataset(n)
-        for name, cls in BULK_PAIRS:
-            bulk_tree = cls(space, build="bulk")
-            insert_tree = cls(space, build="insert")
-            _assert_counts_identical(space, bulk_tree, insert_tree)
-            bulk_s = _best(lambda: cls(space, build="bulk"), repeats)
-            insert_s = _best(lambda: cls(space, build="insert"), repeats)
+        for name, cls in FAMILIES:
+            tree = cls(space)
+            _assert_counts_exact(space, tree, name)
             records.append({
                 "index": name,
                 "n": n,
-                "bulk_build_s": bulk_s,
-                "insert_build_s": insert_s,
-                "speedup": insert_s / bulk_s if bulk_s > 0 else float("inf"),
-                "bulk_nodes": int(bulk_tree.flat.n_nodes),
-                "insert_nodes": int(insert_tree.flat.n_nodes),
-            })
-        for name, flat_cls, ref_cls in FLAT_PAIRS:
-            flat_s = _best(lambda: flat_cls(space), repeats)
-            index = flat_cls(space)
-            object_s = _best(lambda: ref_cls(space), repeats)
-            records.append({
-                "index": name,
-                "n": n,
-                "flat_build_s": flat_s,
-                "flat_nodes": int(index.flat.n_nodes),
-                "object_build_s": object_s,
-                "object_nodes": _object_node_count(ref_cls(space)),
-                "speedup": object_s / flat_s if flat_s > 0 else float("inf"),
+                "build_s": _best(lambda: cls(space), repeats),
+                "nodes": int(tree.flat.n_nodes),
             })
     return {
         "bench": "index_build",
@@ -148,23 +101,16 @@ def main() -> None:
     results_path("BENCH_index_build.json").write_text(
         json.dumps(payload, indent=2) + "\n"
     )
-    rows = []
-    for r in payload["records"]:
-        fast = r.get("bulk_build_s", r.get("flat_build_s"))
-        slow = r.get("insert_build_s", r.get("object_build_s"))
-        nodes = r.get("bulk_nodes", r.get("flat_nodes"))
-        rows.append([
-            r["index"], r["n"], f"{fast * 1000:.1f}",
-            f"{slow * 1000:.1f}" if slow is not None else "-",
-            f"{r['speedup']:.2f}x" if "speedup" in r else "-",
-            nodes,
-        ])
+    rows = [
+        [r["index"], r["n"], f"{r['build_s'] * 1000:.1f}", r["nodes"]]
+        for r in payload["records"]
+    ]
     write_result(
         "index_build",
         format_table(
-            ["index", "n", "bulk/flat ms", "insert/object ms", "speedup", "nodes"],
+            ["index", "n", "build ms", "nodes"],
             rows,
-            title="Index construction: level-synchronous bulk vs per-insert builds",
+            title="Index construction: level-synchronous builds per flat family",
         ),
     )
 

@@ -465,16 +465,9 @@ _MCCATCH_PARAMS = {
     "c": Param(float, 0.1, attr="max_cardinality_fraction"),
     "cmax": Param(int, None, attr="max_cardinality"),
     "index": Param(str, "auto", attr="index"),
-    # construction strategy for the insertion-tree index families
-    # (mtree/slimtree/covertree): "bulk" (the level-synchronous array
-    # bulk-load, their default) or "insert" (the per-insert baseline),
-    # e.g. "mccatch?index=slimtree&build=insert".  None = the family
-    # default, so leaving it out canonicalizes away; index families
-    # with no selectable build reject a pinned value loudly.
-    "build": Param(str, None, attr="index_build"),
     # frontier-walk implementation for the flat-tree index families:
     # "auto" (family default — the compiled C kernel when it builds,
-    # the numpy level walk otherwise), "compiled", "level", or "stack",
+    # the numpy level walk otherwise), "compiled" or "level",
     # e.g. "mccatch?index=vptree&walk=compiled".  None = the family
     # default, so leaving it out canonicalizes away; index kinds with
     # no selectable walk reject a pinned value loudly.

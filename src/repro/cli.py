@@ -77,17 +77,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="hyperparameter c as a fraction of n")
     detect.add_argument("--index", default="auto",
                         help="index kind backing the joins (default auto)")
-    detect.add_argument("--build", default=None, choices=["bulk", "insert"],
-                        help="construction strategy for the insertion-tree "
-                             "index families (mtree/slimtree/covertree): the "
-                             "level-synchronous array bulk-load (their "
-                             "default) or the per-insert baseline")
     detect.add_argument("--walk", default=None,
-                        choices=["auto", "compiled", "level", "stack"],
+                        choices=["auto", "compiled", "level"],
                         help="frontier-walk implementation for the flat-tree "
                              "index families: auto (compiled C kernel when it "
                              "builds, numpy level walk otherwise), or pin "
-                             "compiled/level/stack; --index auto is promoted "
+                             "compiled/level; --index auto is promoted "
                              "to vptree when a walk is requested")
     detect.add_argument("--workers", type=int, default=None, metavar="N",
                         help="shard the range-count walks across N workers "
@@ -148,11 +143,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--index", default=None,
                      help="metric tree backing the model (default vptree; must "
                           "be flat-backed: vptree, balltree, covertree, mtree, slimtree)")
-    fit.add_argument("--build", default=None, choices=["bulk", "insert"],
-                     help="construction strategy for the insertion-tree index "
-                          "families (folds build=... into the McCatch spec)")
     fit.add_argument("--walk", default=None,
-                     choices=["auto", "compiled", "level", "stack"],
+                     choices=["auto", "compiled", "level"],
                      help="frontier-walk implementation for the flat-tree "
                           "index families (folds walk=... into the McCatch "
                           "spec)")
@@ -314,7 +306,6 @@ def _cmd_detect(args) -> int:
         max_slope=args.max_slope,
         max_cardinality_fraction=args.max_cardinality_fraction,
         index=index,
-        index_build=args.build,
         index_walk=args.walk,
         engine_mode="parallel" if args.workers is not None else "batched",
         workers=args.workers,
@@ -463,11 +454,6 @@ def _resolve_fit_estimator(args):
                     "error: --shard-by applies only to McCatch specs "
                     f"(got {estimator.spec!r})"
                 )
-            if args.build is not None:
-                raise SystemExit(
-                    "error: --build applies only to McCatch specs "
-                    f"(got {estimator.spec!r})"
-                )
             if args.walk is not None:
                 raise SystemExit(
                     "error: --walk applies only to McCatch specs "
@@ -492,14 +478,6 @@ def _resolve_fit_estimator(args):
                 )
         elif args.metric is not None:
             spec = _spec_with(spec, "metric", args.metric)
-        if "build" in raw:
-            if args.build is not None:
-                raise SystemExit(
-                    "error: --build cannot be combined with a spec that "
-                    "already pins build=...; pick one"
-                )
-        elif args.build is not None:
-            spec = _spec_with(spec, "build", args.build)
         if "walk" in raw:
             if args.walk is not None:
                 raise SystemExit(
@@ -533,7 +511,6 @@ def _resolve_fit_estimator(args):
             if args.max_cardinality_fraction is not None else 0.1
         ),
         index=args.index or "vptree",
-        index_build=args.build,
         index_walk=args.walk,
         engine_mode="parallel" if args.workers is not None else "batched",
         workers=args.workers,

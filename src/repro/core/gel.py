@@ -45,7 +45,6 @@ def spot_microclusters(
     outliers: np.ndarray,
     *,
     index_kind: str = "auto",
-    index_build: str | None = None,
     index_walk: str | None = None,
     engine_mode: str = "batched",
     workers: int | None = None,
@@ -92,9 +91,7 @@ def spot_microclusters(
         max_end = int(ends.max())  # -1 when no first plateau anywhere in M
         e_next = min(max_end + 1, a - 1)
         threshold = float(radii[e_next])
-        tree = build_index(
-            space, grouped, kind=index_kind, build=index_build, walk=index_walk
-        )
+        tree = build_index(space, grouped, kind=index_kind, walk=index_walk)
         edges = BatchQueryEngine(
             tree, mode=engine_mode, workers=workers, shard_by=shard_by
         ).pairs(threshold)

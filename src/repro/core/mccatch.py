@@ -24,7 +24,7 @@ from repro.core.radii import define_radii
 from repro.core.result import McCatchResult
 from repro.core.scoring import point_score, score_microclusters
 from repro.engine import check_engine_mode, nearest_distances_to
-from repro.index.base import MetricIndex, check_build_mode, check_walk_mode
+from repro.index.base import MetricIndex, check_walk_mode
 from repro.index.factory import build_index
 from repro.metric.base import MetricSpace
 from repro.metric.transformation import (
@@ -33,7 +33,12 @@ from repro.metric.transformation import (
     transformation_cost_for_vectors,
 )
 from repro.metric.trees import LabeledTree
-from repro.utils.validation import as_batch_rows, check_positive_int, check_probability
+from repro.utils.validation import (
+    as_batch_rows,
+    check_finite,
+    check_positive_int,
+    check_probability,
+)
 
 
 class McCatch:
@@ -54,23 +59,17 @@ class McCatch:
     index:
         Index kind for the joins: ``"auto"`` (default), or any of
         :func:`repro.index.available_index_kinds`.
-    index_build:
-        Construction strategy for the insertion-tree index families
-        (``mtree``/``slimtree``/``covertree``): ``None`` (default)
-        leaves the family's own default (the level-synchronous array
-        bulk-load), ``"bulk"``/``"insert"`` pin it explicitly.
-        Requesting a mode for an index family with no such path fails
-        loudly in :func:`repro.index.build_index` rather than silently
-        falling back.
     index_walk:
         Frontier-walk implementation for the flat-tree index families
         (``vptree``/``balltree``/``mtree``/``slimtree``/``covertree``):
         ``None`` (default) leaves the family's own default (``"auto"``
         — the compiled C kernel when it builds, the numpy level walk
-        otherwise); ``"compiled"``/``"level"``/``"stack"`` pin it.
-        Counts — and therefore every McCatch output — are bit-identical
-        across walks; only wall-clock differs.  Like ``index_build``,
-        an index kind without a selectable walk rejects it loudly.
+        otherwise); ``"compiled"``/``"level"`` pin it.  Counts — and
+        therefore every McCatch output — are bit-identical across
+        walks; only wall-clock differs.  An index kind without a
+        selectable walk rejects it loudly in
+        :func:`repro.index.build_index` rather than silently falling
+        back.
     engine_mode:
         Execution plan for the neighborhood workloads:
         ``"batched"`` (default; single-descent multi-radius queries via
@@ -121,7 +120,6 @@ class McCatch:
         *,
         max_cardinality: int | None = None,
         index: str = "auto",
-        index_build: str | None = None,
         index_walk: str | None = None,
         engine_mode: str = "batched",
         workers: int | None = None,
@@ -140,9 +138,6 @@ class McCatch:
             max_cardinality = check_positive_int(max_cardinality, name="max_cardinality")
         self.max_cardinality = max_cardinality
         self.index = index
-        if index_build is not None:
-            check_build_mode(index_build)
-        self.index_build = index_build
         if index_walk is not None:
             check_walk_mode(index_walk)
         self.index_walk = index_walk
@@ -178,8 +173,9 @@ class McCatch:
         Parameters
         ----------
         data:
-            A 2-d float array (vector data), or any sequence of objects
-            (strings, trees, ...) together with ``metric``.
+            A 2-d float array (vector data; NaN or infinite entries are
+            rejected), or any sequence of objects (strings, trees, ...)
+            together with ``metric``.
         metric:
             Distance function for nondimensional data; for vector data
             an optional L_p metric override (default Euclidean).
@@ -203,14 +199,14 @@ class McCatch:
 
     def _fit_space(self, space: MetricSpace) -> tuple[McCatchResult, MetricIndex]:
         """Alg. 1 over a prepared space; returns the result and the tree."""
+        if space.is_vector:
+            check_finite(space.data)
         n = len(space)
         c = self._resolve_c(n)
         t = self._resolve_transformation_cost(space)
 
         # Step I: tree + radii (Alg. 1 lines 1-3).
-        tree = build_index(
-            space, kind=self.index, build=self.index_build, walk=self.index_walk
-        )
+        tree = build_index(space, kind=self.index, walk=self.index_walk)
         if self.engine_mode == "parallel":
             from repro.engine.parallel import supports_sharding
 
@@ -254,8 +250,7 @@ class McCatch:
         outliers = np.nonzero(mask)[0]
         clusters = spot_microclusters(
             space, oracle, cutoff, outliers,
-            index_kind=self.index, index_build=self.index_build,
-            index_walk=self.index_walk,
+            index_kind=self.index, index_walk=self.index_walk,
             engine_mode=self.engine_mode,
             workers=self.workers, shard_by=self.shard_by,
         )
@@ -264,7 +259,7 @@ class McCatch:
         microclusters, point_scores = score_microclusters(
             space, clusters, oracle,
             transformation_cost=t, index_kind=self.index,
-            index_build=self.index_build, index_walk=self.index_walk,
+            index_walk=self.index_walk,
             engine_mode=self.engine_mode, workers=self.workers,
             shard_by=self.shard_by,
         )
@@ -411,7 +406,9 @@ class McCatchModel:
         save/load round trip.
         """
         if self.space.is_vector:
-            rows = as_batch_rows(batch, self.space.dimensionality)
+            rows = check_finite(
+                as_batch_rows(batch, self.space.dimensionality), name="batch"
+            )
         else:
             rows = list(batch)
         if len(rows) == 0:

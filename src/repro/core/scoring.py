@@ -26,7 +26,6 @@ def nearest_inlier_distances(
     oracle: OraclePlot,
     *,
     index_kind: str = "auto",
-    index_build: str | None = None,
     index_walk: str | None = None,
     engine_mode: str = "batched",
     workers: int | None = None,
@@ -57,9 +56,7 @@ def nearest_inlier_distances(
         g[outliers] = radii[-1]
         return g
 
-    inlier_tree = build_index(
-        space, inlier_ids, kind=index_kind, build=index_build, walk=index_walk
-    )
+    inlier_tree = build_index(space, inlier_ids, kind=index_kind, walk=index_walk)
     engine = BatchQueryEngine(
         inlier_tree, mode=engine_mode, workers=workers, shard_by=shard_by
     )
@@ -120,7 +117,6 @@ def score_microclusters(
     *,
     transformation_cost: float,
     index_kind: str = "auto",
-    index_build: str | None = None,
     index_walk: str | None = None,
     engine_mode: str = "batched",
     workers: int | None = None,
@@ -147,7 +143,7 @@ def score_microclusters(
     )
     g = nearest_inlier_distances(
         space, outliers, oracle,
-        index_kind=index_kind, index_build=index_build, index_walk=index_walk,
+        index_kind=index_kind, index_walk=index_walk,
         engine_mode=engine_mode, workers=workers,
         shard_by=shard_by,
     )

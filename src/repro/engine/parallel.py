@@ -92,15 +92,8 @@ def default_workers() -> int:
 
 
 def supports_sharding(index) -> bool:
-    """True when ``index`` carries :class:`FlatTree` storage.
-
-    Attribute-free for the lazily frozen trees (M-/Slim-tree expose
-    ``flat`` as a property), so asking the question does not trigger a
-    freeze at engine-construction time.
-    """
-    if isinstance(index.__dict__.get("flat"), FlatTree):
-        return True
-    return isinstance(getattr(type(index), "flat", None), property)
+    """True when ``index`` carries :class:`FlatTree` storage."""
+    return isinstance(getattr(index, "flat", None), FlatTree)
 
 
 # -- persistent pools --------------------------------------------------------
@@ -269,10 +262,7 @@ class ShardedWalkExecutor:
         temporary directory, removed with the executor).
     walk:
         Frontier-walk implementation for every shard (default: the
-        index's own ``walk`` attribute, normally ``"auto"``).  The
-        ``"stack"`` differential baseline has no resumable-frontier
-        form, so it maps to ``"level"`` here — the counts are
-        bit-identical by construction.
+        index's own ``walk`` attribute, normally ``"auto"``).
     """
 
     def __init__(
@@ -312,12 +302,7 @@ class ShardedWalkExecutor:
         self.backend = backend
         if walk is None:
             walk = getattr(index, "walk", DEFAULT_WALK)
-        check_walk_mode(walk)
-        if walk == "stack":
-            # The stack walk cannot resume a WalkFrontier; level is
-            # bit-identical, so sharded executors run it instead.
-            walk = "level"
-        self.walk = walk
+        self.walk = check_walk_mode(walk)
         self._artifact = None if artifact is None else Path(artifact)
         self._artifact_dir = None if artifact_dir is None else Path(artifact_dir)
         self._owned_artifact: Path | None = None
@@ -400,9 +385,8 @@ class ShardedWalkExecutor:
         """The ``(q, a)`` count matrix, sharded across the worker pool.
 
         Bit-identical to one serial
-        :func:`~repro.index.base.level_count_walk` /
-        :func:`~repro.index.base.frontier_count_walk` for every shard
-        axis, shard count and worker count (see module docstring).
+        :func:`~repro.index.base.count_walk` for every shard axis,
+        shard count and worker count (see module docstring).
         """
         query_ids = np.asarray(query_ids, dtype=np.intp)
         radii = check_radii_ascending(radii)

@@ -3,8 +3,8 @@
 The paper's *using-index principle* (Sec. IV-G): every join leverages a
 tree.  Every index also answers the batched multi-radius query
 ``count_within_many`` that :mod:`repro.engine` schedules McCatch's
-workloads onto — the metric trees with a single node-major walk, the
-rest with stacked per-radius passes.  Available trees:
+workloads onto — the metric trees with a single level-synchronous
+walk, the rest with stacked per-radius passes.  Available trees:
 
 - :class:`~repro.index.vptree.VPTree` — default for nondimensional data;
 - :class:`~repro.index.mtree.MTree` / :class:`~repro.index.slimtree.SlimTree`
@@ -22,13 +22,13 @@ rest with stacked per-radius passes.  Available trees:
 
 The metric trees all store their structure as a
 :class:`~repro.index.base.FlatTree` (struct-of-arrays, one element
-permutation, CSR children) walked by the shared flat walks: the
-depth-major :func:`~repro.index.base.level_count_walk` (the default —
-O(depth) numpy dispatches, float32-bracketed leaf kernels, virtual
-leaves) and the node-major
-:func:`~repro.index.base.frontier_count_walk` kept as the frozen
-differential baseline (``walk="stack"``); both produce bit-identical
-counts.  A fitted tree can be persisted with
+permutation, CSR children), bulk-loaded level-synchronously and walked
+by one shared walk, :func:`~repro.index.base.count_walk`: the compiled
+C kernel (:mod:`repro.index.ckernel`) where a compiler is available,
+else the depth-major numpy
+:func:`~repro.index.base.level_count_walk` (O(depth) numpy dispatches,
+float32-bracketed leaf kernels, virtual leaves) — bit-identical counts
+either way.  A fitted tree can be persisted with
 :func:`repro.io.save_index` and served as a
 :class:`~repro.index.base.FrozenIndex`.
 """
@@ -40,7 +40,6 @@ from repro.index.base import (
     FrozenIndex,
     MetricIndex,
     count_walk,
-    frontier_count_walk,
     level_count_walk,
 )
 from repro.index.bruteforce import BruteForceIndex
@@ -61,7 +60,6 @@ __all__ = [
     "FlatTree",
     "FrozenIndex",
     "count_walk",
-    "frontier_count_walk",
     "level_count_walk",
     "BruteForceIndex",
     "VPTree",

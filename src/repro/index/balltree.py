@@ -18,7 +18,7 @@ three paired-distance calls (members-to-pivot, members-to-``a``,
 members-to-``b``) and each segment is partitioned in place inside one
 shared permutation array — no per-node recursion or node objects.
 Queries run the shared flat
-:func:`~repro.index.base.frontier_count_walk`.
+:func:`~repro.index.base.count_walk`.
 """
 
 from __future__ import annotations

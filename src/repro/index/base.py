@@ -22,21 +22,19 @@ Every metric tree in this package stores its structure as a
 :class:`FlatTree` — a struct-of-arrays container (contiguous ``center``
 / ``threshold`` / ``radius`` / ``size`` / CSR-style children arrays
 plus one permutation of element ids) instead of a graph of Python node
-objects.  The VP- and ball trees build it directly with
-level-synchronous vectorized construction; the insertion-built trees
-(cover, M-, Slim-) keep their classic build logic and *freeze* into a
-FlatTree before the first query.  Two shared walks answer multi-radius
-count queries over the flat arrays: the node-major
-:func:`frontier_count_walk` (one stack pop and a handful of small
-NumPy calls per node — kept as the differential baseline) and the
-level-synchronous :func:`level_count_walk` (the default: the whole
-frontier of one depth becomes flat ``(node, query, lo, hi)`` arrays,
-so each level costs one grouped distance computation, a few batched
-``searchsorted`` calls and bincount scatters — O(depth) NumPy
-dispatches instead of O(nodes)).  Both produce bit-identical counts;
-because the layout is a handful of primitive NumPy arrays, any fitted
-index can be persisted to a single ``.npz`` (:mod:`repro.io.indexes`)
-and served without rebuilding.
+objects.  Every family builds it directly with level-synchronous
+vectorized construction (the VP- and ball trees in their modules, the
+cover, M- and Slim-trees in :mod:`repro.index.bulk`).  One walk answers
+multi-radius count queries over the flat arrays: the level-synchronous
+:func:`level_count_walk` — the whole frontier of one depth becomes flat
+``(node, query, lo, hi)`` arrays, so each level costs one grouped
+distance computation, a few batched ``searchsorted`` calls and bincount
+scatters, O(depth) NumPy dispatches in all — or its compiled twin in
+:mod:`repro.index.ckernel`, which produces bit-identical counts and is
+the default wherever a C compiler is available.  Because the layout is
+a handful of primitive NumPy arrays, any fitted index can be persisted
+to a single ``.npz`` (:mod:`repro.io.indexes`) and served without
+rebuilding.
 """
 
 from __future__ import annotations
@@ -221,7 +219,7 @@ class FlatTree:
         Member slices into the shared element-id permutation.
     d_parent:
         Distance from each node's center to its parent's center, or
-        ``None``.  When present (frozen M-trees) the walk applies the
+        ``None``.  When present (M-/Slim-trees) the walk applies the
         M-tree parent-distance filter before computing any distance to
         the node.
     d_elem:
@@ -363,141 +361,11 @@ class FlatTree:
         )
 
 
-#: Counter keys both walks accumulate into a caller-supplied ``stats``
-#: dict — the benchmark compares them to show O(depth) vs O(nodes)
-#: NumPy-dispatch overhead.
+#: Counter keys the level and compiled walks accumulate into a
+#: caller-supplied ``stats`` dict (and the telemetry walk sink).
 _WALK_STAT_KEYS = (
     "steps", "entries", "distance_calls", "searchsorted_calls", "scatter_calls",
 )
-
-
-def frontier_count_walk(
-    space: MetricSpace,
-    query_ids: np.ndarray,
-    radii: np.ndarray,
-    tree: FlatTree,
-    *,
-    stats: dict | None = None,
-) -> np.ndarray:
-    """Node-major multi-radius range counting over a :class:`FlatTree`.
-
-    The shared engine room behind every flat-backed ``count_within`` /
-    ``count_within_many``.  The tree is walked once with a *query
-    frontier*: every stack entry carries an integer node index, the
-    queries that still reach that subtree and, per query, the window
-    ``[lo, hi)`` of radius positions not yet decided there.  Each node
-    computes one bulk distance block for its whole frontier (queries
-    stay the ``Q`` side of the metric, so floats are bit-identical to
-    per-query evaluation); radii whose ball swallows the node are
-    credited ``size[node]`` in O(1) and leave the window, radii whose
-    ball cannot reach it leave it too, and leaf buckets — slices of the
-    permutation array, not allocations — scatter range-adds into a
-    per-query difference array that one cumulative sum turns into
-    counts.
-
-    Tree-specific behaviour is driven by the flat metadata: VP-trees
-    (``vp_split``) credit the vantage point held at internal nodes and
-    tighten each child's window with the median-split ``threshold``;
-    frozen M-trees (``d_parent``) apply the classic parent-distance
-    filter — ``|d(q, parent) − d_parent| − radius`` lower-bounds the
-    reachable radius — before computing any distance to a node.
-
-    ``stats``, when a dict, accumulates dispatch counters comparable
-    with :func:`level_count_walk`: ``steps`` (stack pops here, levels
-    there), ``entries`` (total frontier pairs processed) and the
-    NumPy-call counts ``distance_calls`` / ``searchsorted_calls`` /
-    ``scatter_calls``.
-    """
-    track = stats is not None
-    if track:
-        for key in _WALK_STAT_KEYS:
-            stats.setdefault(key, 0)
-    nq, a = query_ids.size, radii.size
-    diff = np.zeros((nq, a + 1), dtype=np.int64)
-    center, node_radius, sizes = tree.center, tree.radius, tree.size
-    child_lo, child_hi = tree.child_lo, tree.child_hi
-    elems, elem_lo, elem_hi = tree.elems, tree.elem_lo, tree.elem_hi
-    threshold, d_parent = tree.threshold, tree.d_parent
-    vp = tree.vp_split
-    stack = [
-        (0, np.arange(nq), np.zeros(nq, dtype=np.intp), np.full(nq, a, dtype=np.intp), None)
-    ]
-    while stack:
-        node, pos, lo, hi, dpar = stack.pop()
-        if track:
-            stats["steps"] += 1
-            stats["entries"] += pos.size
-        if dpar is not None:
-            bound = np.abs(dpar - d_parent[node]) - node_radius[node]
-            lo = np.maximum(lo, np.searchsorted(radii, bound))
-            if track:
-                stats["searchsorted_calls"] += 1
-            live = lo < hi
-            if not live.any():
-                continue  # pruned for every query without a distance call
-            if not live.all():
-                pos, lo, hi = pos[live], lo[live], hi[live]
-        d = space.distances_among(query_ids[pos], [center[node]])[:, 0]
-        full = np.searchsorted(radii, d + node_radius[node])
-        if track:
-            stats["distance_calls"] += 1
-            stats["searchsorted_calls"] += 1
-        swallow = full < hi
-        if swallow.any():  # ball swallowed whole
-            rows = pos[swallow]
-            diff[rows, np.maximum(full[swallow], lo[swallow])] += sizes[node]
-            diff[rows, hi[swallow]] -= sizes[node]
-            hi = np.minimum(hi, full)
-            if track:
-                stats["scatter_calls"] += 1
-        lo = np.maximum(lo, np.searchsorted(radii, d - node_radius[node]))
-        if track:
-            stats["searchsorted_calls"] += 1
-        live = lo < hi
-        if not live.any():
-            continue
-        if not live.all():
-            pos, lo, hi, d = pos[live], lo[live], hi[live], d[live]
-        lo_c, hi_c = child_lo[node], child_hi[node]
-        if lo_c == hi_c:  # leaf: bucket is a slice of the permutation array
-            dm = space.distances_among(query_ids[pos], elems[elem_lo[node] : elem_hi[node]])
-            e = np.searchsorted(radii, dm)  # (m, b) radius position per member
-            if track:
-                stats["distance_calls"] += 1
-                stats["searchsorted_calls"] += 1
-                stats["scatter_calls"] += 1
-            valid = e < hi[:, None]
-            rows = np.broadcast_to(pos[:, None], e.shape)[valid]
-            np.add.at(diff, (rows, np.maximum(e, lo[:, None])[valid]), 1)
-            np.add.at(diff, (rows, np.broadcast_to(hi[:, None], e.shape)[valid]), -1)
-            continue
-        if vp:
-            sv = np.searchsorted(radii, d)
-            if track:
-                stats["searchsorted_calls"] += 1
-            self_in = sv < hi
-            if self_in.any():  # the vantage point itself
-                rows = pos[self_in]
-                diff[rows, np.maximum(sv[self_in], lo[self_in])] += 1
-                diff[rows, hi[self_in]] -= 1
-                if track:
-                    stats["scatter_calls"] += 1
-            t = threshold[node]
-            lo_in = np.maximum(lo, np.searchsorted(radii, d - t))
-            m = lo_in < hi
-            if m.any():
-                stack.append((int(lo_c), pos[m], lo_in[m], hi[m], None))
-            lo_out = np.maximum(lo, np.searchsorted(radii, t - d, side="right"))
-            if track:
-                stats["searchsorted_calls"] += 2
-            m = lo_out < hi
-            if m.any():
-                stack.append((int(lo_c) + 1, pos[m], lo_out[m], hi[m], None))
-            continue
-        child_dpar = d if d_parent is not None else None
-        for child in range(lo_c, hi_c):
-            stack.append((int(child), pos, lo, hi, child_dpar))
-    return np.cumsum(diff[:, :a], axis=1)
 
 
 class WalkFrontier(NamedTuple):
@@ -747,7 +615,7 @@ def _rect_single_rung(
     error below ``1e-5`` of scale): provably-inside cells are counted
     by a row sum, provably-outside cells are dropped, and only the
     sliver in between is re-evaluated through the exact float64 metric
-    path — so counts stay bit-identical to the stack walk.  NaN padding
+    path — so counts stay bit-identical to brute force.  NaN padding
     fails every comparison and can never be counted.
     """
     cols32, sq32, scale2 = space.float32_coords()
@@ -825,14 +693,14 @@ def _leaf_single_rung(
       frontier entry and credited as one weighted range-add;
     - *undecided* — the band in between: the only pairs that pay for a
       distance, decided by the exact ``dm <= radii[lo]`` (equivalent to
-      the stack walk's ``searchsorted`` on a one-rung window).
+      a ``searchsorted`` on a one-rung window).
 
     Bound arithmetic runs in float32 with an absolute safety margin of
     ``1e-5`` of the magnitude scale (largest radius plus twice the
     largest parent distance bounds every operand) — float32 round-off
     is below ``3e-7`` of that scale, so the margin only ever moves
     pairs *into* the undecided band, where the exact comparison settles
-    them: counts stay bit-identical to the unfiltered stack walk.
+    them: counts stay bit-identical to the unfiltered pair scatter.
     """
     g = nodes.size
     r = radii[lo]  # the one undecided rung, per frontier entry
@@ -946,8 +814,8 @@ def _level_leaf_scatter(
     overwhelming majority on a SELFJOINC ladder — take the bound-split
     fast path (:func:`_leaf_single_rung`); the rest expand to pairs and
     walk the full window (:func:`_leaf_pairs_scatter`).  Both paths
-    produce counts bit-identical to the stack walk's per-node leaf
-    handling: integer scatter adds commute, so splitting the entries is
+    produce counts bit-identical to scattering every leaf entry on its
+    own: integer scatter adds commute, so splitting the entries is
     invisible in the sums.
 
     ``rect_fn`` swaps the single-rung rectangle implementation (same
@@ -1032,10 +900,10 @@ def _clipped_cols(radii, v, lo, rl, side, track, stats):
 def _level_step(space, query_ids, radii, tree, diff, frontier, stats=None):
     """Advance a :class:`WalkFrontier` by one depth, scattering into ``diff``.
 
-    The level-synchronous core: the same swallow / prune /
-    window-tightening logic as one :func:`frontier_count_walk`
-    iteration, but applied to the flat arrays of *every* (node, query)
-    pair at the current depth — one grouped
+    The level-synchronous core: the classic per-node swallow / prune /
+    window-tightening logic of a metric-tree range count, applied to
+    the flat arrays of *every* (node, query) pair at the current
+    depth — one grouped
     :meth:`~repro.metric.base.MetricSpace.paired_distances` call
     (queries stay on the Q side of the metric, so every float is
     bit-identical to the per-node bulk evaluation), batched
@@ -1074,7 +942,7 @@ def _level_step(space, query_ids, radii, tree, diff, frontier, stats=None):
     # the window — rare once SELFJOINC windows tighten to a rung — pay
     # a subset binary search (:func:`_clipped_cols`).  Each compare
     # mirrors ``searchsorted`` semantics exactly (see the helper), so
-    # decisions stay bit-identical to the stack walk.
+    # decisions stay bit-identical to per-entry binary searches.
     rsh = np.empty(a + 1)  # rsh[k] = radii[k-1]; rsh[0] junk (dead rows only)
     rsh[0] = radii[0]
     rsh[1:] = radii
@@ -1202,22 +1070,25 @@ def level_count_walk(
 ) -> np.ndarray:
     """Level-synchronous multi-radius range counting over a :class:`FlatTree`.
 
-    Produces counts bit-identical to :func:`frontier_count_walk` — same
-    distances (queries on the Q side of every metric call), same
-    ``searchsorted`` boundary decisions, same integer credits — but the
-    walk is depth-major: the whole frontier of one depth is flat
-    ``(node, query, lo, hi)`` arrays and each depth costs a constant
-    number of NumPy dispatches, so total interpreter overhead is
-    O(depth) instead of O(nodes).  This is the default walk behind
-    every flat-backed index; the stack walk remains as the
-    differential baseline.
+    Produces counts bit-identical to brute force — every credit or
+    prune is a triangle-inequality bound that agrees with the per-pair
+    float64 decision ``d(q, m) <= r``, with queries on the Q side of
+    every metric call — but the walk is depth-major: the whole frontier
+    of one depth is flat ``(node, query, lo, hi)`` arrays and each depth
+    costs a constant number of NumPy dispatches, so total interpreter
+    overhead is O(depth) instead of O(nodes).  This is the walk behind
+    every flat-backed index when the compiled kernel
+    (:mod:`repro.index.ckernel`) is unavailable, and the reference that
+    kernel mirrors.
 
     ``frontier`` resumes the walk from a saved :class:`WalkFrontier`
     (the ``shard_by="tree"`` executor opens the top of the tree once,
     splits the frontier into disjoint node ranges and hands each worker
     one piece); counts accumulated before the split must be added by
-    the caller.  ``stats`` collects the same dispatch counters as
-    :func:`frontier_count_walk`.
+    the caller.  ``stats``, when a dict, accumulates the dispatch
+    counters of :data:`_WALK_STAT_KEYS`: ``steps`` (level steps),
+    ``entries`` (frontier pairs processed) and the NumPy-call counts
+    ``distance_calls`` / ``searchsorted_calls`` / ``scatter_calls``.
     """
     if stats is not None:
         for key in _WALK_STAT_KEYS:
@@ -1345,10 +1216,9 @@ def attach_leaf_distances(space: MetricSpace, tree: FlatTree) -> FlatTree:
 
 
 #: Walk implementations selectable on every flat-backed index: the
-#: level-synchronous walk, the node-major stack walk kept as the
-#: differential baseline, and the C/ctypes kernel walk
-#: (:mod:`repro.index.ckernel`) — all three bit-identical.
-WALK_MODES = ("level", "stack", "compiled")
+#: level-synchronous numpy walk and the C/ctypes kernel walk
+#: (:mod:`repro.index.ckernel`) — bit-identical.
+WALK_MODES = ("level", "compiled")
 
 #: The default on every flat-backed index: resolve at query time to
 #: ``"compiled"`` when the C kernel builds, ``"level"`` otherwise.
@@ -1376,21 +1246,6 @@ def resolve_walk(walk: str = DEFAULT_WALK) -> str:
     return "compiled" if kernel_available() else "level"
 
 
-#: Construction strategies selectable on the insertion-tree families
-#: (M-tree / Slim-tree / cover tree): the level-synchronous array
-#: bulk-load (default — writes :class:`FlatTree` arrays directly, no
-#: object-node intermediate) and the classic per-insert builders kept
-#: as the frozen differential baseline (mirroring ``walk="stack"``).
-BUILD_MODES = ("bulk", "insert")
-
-
-def check_build_mode(build: str) -> str:
-    """Validate a build-mode string against :data:`BUILD_MODES`."""
-    if build not in BUILD_MODES:
-        raise ValueError(f"unknown build {build!r}; choose from {BUILD_MODES}")
-    return build
-
-
 def count_walk(
     space: MetricSpace,
     query_ids: np.ndarray,
@@ -1409,7 +1264,7 @@ def count_walk(
     ``REPRO_NO_CKERNEL=1``) falls back to the level walk with one loud
     :class:`RuntimeWarning` — counts are bit-identical either way.
     ``frontier`` resumes a saved :class:`WalkFrontier` (tree-axis
-    sharding); the stack walk has no resumable form and rejects it.
+    sharding).
 
     When process telemetry is enabled (:mod:`repro.obs.hooks`), the
     walk's stats counters and wall time merge into the process-wide
@@ -1460,14 +1315,6 @@ def _count_walk_dispatch(
                 space, query_ids, radii, tree, frontier=frontier, stats=stats
             )
         warn_fallback()
-        walk = "level"
-    if walk == "stack":
-        if frontier is not None:
-            raise ValueError(
-                "walk='stack' has no resumable frontier form; "
-                "use walk='level' or walk='compiled' for sharded resumes"
-            )
-        return frontier_count_walk(space, query_ids, radii, tree, stats=stats)
     return level_count_walk(
         space, query_ids, radii, tree, frontier=frontier, stats=stats
     )
@@ -1478,9 +1325,8 @@ class FlatQueryMixin:
 
     Mixed into every flat-backed index; requires ``self.space`` and a
     ``self.flat`` :class:`FlatTree`.  ``self.walk`` selects the
-    implementation — the level-synchronous :func:`level_count_walk`
-    (default) or the node-major :func:`frontier_count_walk` baseline;
-    both return bit-identical counts.
+    implementation (see :func:`count_walk`); every choice returns
+    bit-identical counts.
     """
 
     space: MetricSpace
@@ -1497,8 +1343,7 @@ class FlatQueryMixin:
         return counts[:, 0].astype(np.intp)
 
     def count_within_many(self, query_ids, radii) -> np.ndarray:
-        """All radii for all queries in one walk over the flat arrays
-        (:func:`level_count_walk` / :func:`frontier_count_walk`)."""
+        """All radii for all queries in one walk over the flat arrays."""
         query_ids = np.asarray(query_ids, dtype=np.intp)
         radii = check_radii_ascending(radii)
         return count_walk(self.space, query_ids, radii, self.flat, walk=self.walk)

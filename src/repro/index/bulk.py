@@ -1,10 +1,8 @@
-"""Level-synchronous array bulk-loads for the insertion-tree families.
+"""Level-synchronous array bulk-loads for the M-, Slim- and cover trees.
 
-PR 4 batched the M-tree *decision* hot loops (choose-subtree, promote,
-partition, MST split), which left the insertion loop itself — one
-Python round trip per element — as the dominant build cost.  This
-module removes the loop: :func:`bulk_build_mtree` and
-:func:`bulk_build_covertree` construct the
+The classic builders for these families insert one element at a time —
+one Python round trip per element.  :func:`bulk_build_mtree` and
+:func:`bulk_build_covertree` instead construct the
 :class:`~repro.index.base.FlatTree` struct-of-arrays **directly**, with
 no object-node intermediate, using the same level-synchronous pattern
 as the VP-/ball-tree builds:
@@ -34,11 +32,11 @@ pre-filter), and ``d_elem`` is the exact member-to-leaf-center distance
 ``paired_distances`` float path that
 :func:`~repro.index.base.attach_leaf_distances` uses.
 
-:func:`slim_down_flat` ports the Slim-tree's slim-down to the flat
-arrays so bulk-built Slim-trees keep their post-construction pass:
-border members migrate between sibling leaves *in place* inside the
-parent's slice (sibling migration never changes an ancestor's member
-set, so only the parent's slice is rewritten).
+:func:`slim_down_flat` runs the Slim-tree's post-construction
+slim-down on the flat arrays: border members migrate between sibling
+leaves *in place* inside the parent's slice (sibling migration never
+changes an ancestor's member set, so only the parent's slice is
+rewritten).
 """
 
 from __future__ import annotations
@@ -55,8 +53,8 @@ def _argmax_per_segment(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """First position of each segment's maximum (absolute into ``values``).
 
     Same reduceat/first-hit trick as the ball tree's diametral-pair
-    selection: ties resolve to the earliest position, matching the
-    ``np.argmax`` the per-node builders used.
+    selection: ties resolve to the earliest position, like
+    ``np.argmax``.
     """
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     maxima = np.maximum.reduceat(values, offsets[:-1])
@@ -161,8 +159,7 @@ def _grow_pivots(
     member coincides with a pivot; the child-scale separation for the
     cover tree), and measures all the new pivots against their
     segments' members in one grouped paired call.  Members follow their
-    nearest pivot, ties to the earliest one — the same first-minimum
-    rule the per-insert builders used.
+    nearest pivot, ties to the earliest one (first-minimum rule).
 
     Returns ``(piv_ids, piv_dpar, owner)``: per-segment pivot id lists,
     matching exact pivot-to-segment-center distances, and each member's
@@ -260,9 +257,9 @@ def bulk_build_mtree(
     member to its nearest pivot — the array analogue of the M-tree's
     minimum-distance choose-subtree rule, with promotion by farthest
     point instead of overflow splits.  Duplicate-only segments (radius
-    0) become leaves at any size, like the insert builder's one-sided
-    split fallback.  ``stats["distance_calls"]`` accumulates the metric
-    evaluations spent, one count per paired row.
+    0) become leaves at any size: no split can separate them.
+    ``stats["distance_calls"]`` accumulates the metric evaluations
+    spent, one count per paired row.
     """
     b = _LevelBuilder(space, ids, stats)
     n = b.elems.size
@@ -302,12 +299,12 @@ def bulk_build_covertree(
 ) -> FlatTree:
     """Bulk-load a cover-tree-shaped :class:`FlatTree`.
 
-    The per-node recursion's scale bookkeeping collapses into one rule:
-    a splitting segment's child separation is ``base**(s-1)`` for the
-    smallest scale ``s`` with ``base**s >= radius`` — exactly where the
-    top-down builder's scale-dropping loop lands, since every scale
-    whose separation meets or exceeds the covering radius yields a
-    single child and recurses straight down.  Pivot promotion then runs
+    The cover tree's scale bookkeeping collapses into one rule: a
+    splitting segment's child separation is ``base**(s-1)`` for the
+    smallest scale ``s`` with ``base**s >= radius`` — every larger
+    scale's separation meets or exceeds the covering radius and would
+    yield a single child, so a top-down build drops straight to this
+    one.  Pivot promotion then runs
     until no member is farther than that separation from every chosen
     pivot, so sibling centers stay pairwise more than ``sep`` apart
     (the cover-tree separation invariant) and pivot 0 being the segment
@@ -330,8 +327,7 @@ def bulk_build_covertree(
         sep = np.power(base, scale - 1.0)
         # Float fuzz at exact powers of `base` can land sep on (or
         # above) the radius, which would promote no second pivot and
-        # loop forever — the same degenerate scale the recursive
-        # builder escapes by dropping a level.
+        # loop forever: drop such segments one more scale.
         while np.any(sep >= spl_radii):
             sep = np.where(sep >= spl_radii, sep / base, sep)
         keep = ~leaf_rows
@@ -361,8 +357,7 @@ def slim_down_flat(
 ) -> int:
     """Slim-down over flat arrays, in place; returns the move count.
 
-    The same migration rule as the object pass: a member on the border
-    of its leaf (its ``d_elem`` *is* the covering radius) moves to the
+    The Slim-tree migration rule: a member on the border of its leaf (its ``d_elem`` *is* the covering radius) moves to the
     first sibling leaf that also covers it without enlargement, has
     room under ``capacity``, and is at least as full — after which the
     donor's radius shrinks to its remaining farthest member.  Only

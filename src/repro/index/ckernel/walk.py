@@ -18,7 +18,7 @@ routing — but the two hot loops run in the shared object built by
   float32 rectangle.  Margin-band cells are settled by the exact
   float64 metric — inside the kernel for 1-/2-d euclidean data, back in
   Python (``paired_distances``) for everything else — so counts stay
-  bit-identical to both numpy walks.
+  bit-identical to the numpy level walk.
 
 Everything the kernel does not accelerate (multi-rung leaf windows,
 object-metric leaf scatters, the einsum bulk cross-term) goes through

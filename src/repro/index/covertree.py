@@ -1,12 +1,15 @@
 """Cover tree: a metric index with geometrically decreasing scales.
 
-A batch-built cover tree in the spirit of Beygelzimer, Kakade and
-Langford (ICML 2006): every node owns a *center* element and a *scale*
-``s``; its children's centers are pairwise separated by more than
-``2^(s-1)`` and every descendant lies within ``2^s`` of the center
-(the covering invariant).  Construction here is top-down
-farthest-point separation, which yields the same invariants as the
-classic insertion algorithm while being simpler and deterministic.
+A cover tree in the spirit of Beygelzimer, Kakade and Langford (ICML
+2006): every node owns a *center* element and a *scale* ``s``; its
+children's centers are pairwise separated by more than ``2^(s-1)`` and
+every child's members lie within that separation of the child's center
+(the covering invariant).  Construction is top-down farthest-point
+separation, bulk-loaded level-synchronously straight into
+:class:`~repro.index.base.FlatTree` arrays
+(:func:`~repro.index.bulk.bulk_build_covertree`), which yields the same
+invariants as the classic insertion algorithm while being simpler and
+deterministic.
 
 Range counting prunes exactly like the other metric trees: a subtree
 whose covering ball is swallowed by the query ball contributes its
@@ -21,38 +24,20 @@ the number of children per node is bounded by the doubling constant.
 
 from __future__ import annotations
 
-import math
-from collections import deque
-
 import numpy as np
 
 from repro.index.base import (
     DEFAULT_WALK,
     FlatQueryMixin,
-    FlatTree,
     MetricIndex,
-    attach_leaf_distances,
-    check_build_mode,
     check_walk_mode,
 )
 from repro.index.bulk import bulk_build_covertree
 from repro.metric.base import MetricSpace
 
 
-class _CoverNode:
-    __slots__ = ("center", "scale", "radius", "size", "children", "bucket")
-
-    def __init__(self, center: int, scale: int):
-        self.center = center
-        self.scale = scale
-        self.radius: float = 0.0  # max distance from center to any member
-        self.size: int = 0
-        self.children: list["_CoverNode"] = []
-        self.bucket: np.ndarray | None = None  # leaf members (includes center)
-
-
 class CoverTree(FlatQueryMixin, MetricIndex):
-    """Batch-built cover tree with subtree-count pruning.
+    """Bulk-loaded cover tree with subtree-count pruning.
 
     Parameters
     ----------
@@ -63,26 +48,14 @@ class CoverTree(FlatQueryMixin, MetricIndex):
     base:
         Scale base (default 2.0, the classic cover tree's); children at
         scale ``s`` are separated by more than ``base**(s-1)``.
-    build:
-        ``"bulk"`` (default) runs the level-synchronous array build
-        (:func:`~repro.index.bulk.bulk_build_covertree`) straight into
-        :class:`~repro.index.base.FlatTree` storage — no object nodes,
-        ``self.root is None``.  ``"insert"`` keeps the recursive
-        per-node builder as the frozen differential baseline.
-
-    Notes
-    -----
-    The ``"insert"`` build keeps the classic top-down farthest-point
-    separation over object nodes (``self.root``, used by the invariant
-    tests), then *freezes* the result into a
-    :class:`~repro.index.base.FlatTree` (``self.flat``).  Either way,
-    all queries — and persistence — run against ``self.flat``.
+    walk:
+        Frontier-walk implementation (see
+        :func:`~repro.index.base.count_walk`).
     """
 
     def __init__(
         self, space: MetricSpace, ids=None, *,
         leaf_size: int = 16, base: float = 2.0, walk: str = DEFAULT_WALK,
-        build: str = "bulk",
     ):
         super().__init__(space, ids)
         if leaf_size < 1:
@@ -92,121 +65,8 @@ class CoverTree(FlatQueryMixin, MetricIndex):
         self.leaf_size = leaf_size
         self.base = float(base)
         self.walk = check_walk_mode(walk)
-        self.build = check_build_mode(build)
-        if self.build == "insert":
-            self.root: _CoverNode | None = self._build_root()
-            self.flat = attach_leaf_distances(space, self._freeze())
-        else:
-            self.root = None
-            self.flat = bulk_build_covertree(
-                space, self.ids, base=self.base, leaf_size=self.leaf_size
-            )
-
-    # -- construction ----------------------------------------------------
-
-    def _build_root(self) -> _CoverNode:
-        members = self.ids.copy()
-        center = int(members[0])
-        d = self.space.distances(center, members)
-        radius = float(d.max())
-        scale = 0 if radius == 0.0 else int(math.ceil(math.log(max(radius, 1e-300), self.base)))
-        return self._build(center, members, d, scale)
-
-    def _build(self, center: int, members: np.ndarray, d_center: np.ndarray, scale: int) -> _CoverNode:
-        node = _CoverNode(center, scale)
-        node.size = int(members.size)
-        node.radius = float(d_center.max()) if members.size > 1 else 0.0
-        if members.size <= self.leaf_size or node.radius == 0.0:
-            node.bucket = members
-            return node
-
-        # Greedy farthest-point separation at the child scale: pick
-        # centers pairwise more than `sep` apart, then assign every
-        # member to its nearest center.  The center of this node is
-        # always the first child center (the nesting invariant).
-        sep = self.base ** (scale - 1)
-        centers = [center]
-        best = d_center.copy()  # distance of each member to its nearest chosen center
-        while True:
-            far = int(np.argmax(best))
-            if best[far] <= sep:
-                break
-            new_center = int(members[far])
-            centers.append(new_center)
-            d_new = self.space.distances(new_center, members)
-            np.minimum(best, d_new, out=best)
-            if len(centers) >= members.size:  # pragma: no cover - defensive
-                break
-
-        if len(centers) == 1:
-            # Everything already within the child separation: drop the
-            # scale until the set actually splits (or becomes a leaf).
-            return self._build(center, members, d_center, scale - 1)
-
-        assign_d = np.empty((len(centers), members.size), dtype=np.float64)
-        for row, cen in enumerate(centers):
-            assign_d[row] = self.space.distances(cen, members)
-        owner = np.argmin(assign_d, axis=0)
-        for row, cen in enumerate(centers):
-            mask = owner == row
-            child_members = members[mask]
-            if child_members.size == 0:  # pragma: no cover - owner always includes center
-                continue
-            node.children.append(
-                self._build(cen, child_members, assign_d[row][mask], scale - 1)
-            )
-        return node
-
-    # -- freeze pass -------------------------------------------------------
-
-    def _freeze(self) -> FlatTree:
-        """Flatten the object tree into struct-of-arrays storage.
-
-        BFS layout: a node's children occupy a contiguous index range,
-        and every node's members are a contiguous slice of one element
-        permutation (children partition their parent's slice in order;
-        leaf buckets fill the slices in).  Queries and persistence only
-        touch the result.
-        """
-        n = len(self.ids)
-        elems = np.empty(n, dtype=np.intp)
-        center: list[int] = []
-        radius: list[float] = []
-        size: list[int] = []
-        child_lo: list[int] = []
-        child_hi: list[int] = []
-        elem_lo: list[int] = []
-        elem_hi: list[int] = []
-
-        def new_node(onode: _CoverNode, lo: int, hi: int) -> int:
-            idx = len(center)
-            center.append(int(onode.center))
-            radius.append(float(onode.radius))
-            size.append(int(onode.size))
-            child_lo.append(0)
-            child_hi.append(0)
-            elem_lo.append(lo)
-            elem_hi.append(hi)
-            return idx
-
-        queue: deque[tuple[_CoverNode, int]] = deque()
-        queue.append((self.root, new_node(self.root, 0, n)))
-        while queue:
-            onode, idx = queue.popleft()
-            lo, hi = elem_lo[idx], elem_hi[idx]
-            if onode.bucket is not None:
-                elems[lo:hi] = onode.bucket
-                continue
-            first = len(center)
-            cursor = lo
-            for child in onode.children:
-                queue.append((child, new_node(child, cursor, cursor + child.size)))
-                cursor += child.size
-            child_lo[idx], child_hi[idx] = first, first + len(onode.children)
-        return FlatTree(
-            center=center, threshold=np.zeros(len(center)), radius=radius, size=size,
-            child_lo=child_lo, child_hi=child_hi,
-            elem_lo=elem_lo, elem_hi=elem_hi, elems=elems,
+        self.flat = bulk_build_covertree(
+            space, self.ids, base=self.base, leaf_size=self.leaf_size
         )
 
     # -- queries (count_within / count_within_many from FlatQueryMixin) ---
@@ -215,8 +75,6 @@ class CoverTree(FlatQueryMixin, MetricIndex):
         """Root-children rule (Alg. 1 line 2) with a two-scan refinement."""
         if self.ids.size == 1:
             return 0.0
-        # The flat root's center is the object root's center (nesting
-        # invariant), so both builds share this path.
         d0 = self.space.distances(int(self.flat.center[0]), self.ids)
         far = int(self.ids[int(np.argmax(d0))])
         return float(self.space.distances(far, self.ids).max())
@@ -225,24 +83,8 @@ class CoverTree(FlatQueryMixin, MetricIndex):
 
     def max_depth(self) -> int:
         """Height of the tree (leaves are depth 1)."""
-        if self.root is None:  # bulk-built: depth lives in the flat arrays
-            return self.flat.max_depth()
-
-        def depth(node: _CoverNode) -> int:
-            if node.bucket is not None:
-                return 1
-            return 1 + max(depth(ch) for ch in node.children)
-
-        return depth(self.root)
+        return self.flat.max_depth()
 
     def node_count(self) -> int:
         """Total number of nodes (internal + leaves)."""
-        if self.root is None:
-            return int(self.flat.n_nodes)
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            stack.extend(node.children)
-        return count
+        return int(self.flat.n_nodes)

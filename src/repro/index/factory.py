@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.index.balltree import BallTree
-from repro.index.base import MetricIndex, check_build_mode, check_walk_mode
+from repro.index.base import MetricIndex, check_walk_mode
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.ckdtree import CKDTreeIndex
 from repro.index.covertree import CoverTree
@@ -25,16 +25,9 @@ from repro.metric.base import MetricSpace
 
 _VECTOR_ONLY = {"kdtree", "ckdtree", "rtree"}
 
-#: Families with a selectable construction strategy (the
-#: level-synchronous array bulk-load vs the per-insert baseline).
-_BUILD_SELECTABLE = {"mtree", "slimtree", "covertree"}
-#: Families whose only construction IS the level-synchronous bulk
-#: build — ``build="bulk"`` is a no-op, ``build="insert"`` an error.
-_BULK_NATIVE = {"vptree", "balltree"}
-
 #: Families backed by a :class:`~repro.index.base.FlatTree` with a
-#: selectable frontier walk (``level`` / ``stack`` / ``compiled`` /
-#: ``auto``); every other kind rejects ``walk=`` loudly.
+#: selectable frontier walk (``level`` / ``compiled`` / ``auto``);
+#: every other kind rejects ``walk=`` loudly.
 _WALK_SELECTABLE = {"vptree", "balltree", "mtree", "slimtree", "covertree"}
 
 _BUILDERS: dict[str, Callable[..., MetricIndex]] = {
@@ -57,8 +50,7 @@ def available_index_kinds() -> list[str]:
 
 
 def build_index(
-    space: MetricSpace, ids=None, *, kind: str = "auto", build: str | None = None,
-    walk: str | None = None,
+    space: MetricSpace, ids=None, *, kind: str = "auto", walk: str | None = None,
     **kwargs,
 ) -> MetricIndex:
     """Build an index over ``space`` (optionally restricted to ``ids``).
@@ -68,23 +60,14 @@ def build_index(
     ``kdtree``, ``ckdtree``, ``mtree``, ``slimtree``, ``rtree``.
     Extra keyword arguments are forwarded to the index constructor.
 
-    ``build`` selects the construction strategy for the insertion-tree
-    families (``mtree``/``slimtree``/``covertree``): the
-    level-synchronous array bulk-load (``"bulk"``, their default) or
-    the per-insert baseline (``"insert"``).  Requesting a build mode
-    for a family that has no such path fails loudly — never a silent
-    fallback — so a pinned ``build=`` in a spec always means what it
-    says.
-
     ``walk`` selects the frontier-walk implementation on the flat-tree
     families (``vptree``/``balltree``/``mtree``/``slimtree``/
     ``covertree``): ``"auto"`` (their default — the compiled C kernel
-    when it builds, the numpy level walk otherwise), ``"compiled"``,
-    ``"level"``, or the ``"stack"`` differential baseline.  Kinds
-    without a flat walk reject ``walk=`` loudly, same policy as
-    ``build=`` — and ``kind="auto"`` with a ``walk`` resolves to the
-    VP-tree, since asking for a frontier walk implies wanting a flat
-    tree.
+    when it builds, the numpy level walk otherwise), ``"compiled"`` or
+    ``"level"``.  Kinds without a flat walk reject ``walk=`` loudly —
+    never a silent fallback — and ``kind="auto"`` with a ``walk``
+    resolves to the VP-tree, since asking for a frontier walk implies
+    wanting a flat tree.
     """
     if kind == "auto":
         if walk is not None:
@@ -104,22 +87,6 @@ def build_index(
         ) from None
     if kind in _VECTOR_ONLY and not space.is_vector:
         raise TypeError(f"index kind {kind!r} requires vector data; use 'vptree' or 'mtree'")
-    if build is not None:
-        check_build_mode(build)
-        if kind in _BUILD_SELECTABLE:
-            kwargs["build"] = build
-        elif kind in _BULK_NATIVE:
-            if build == "insert":
-                raise ValueError(
-                    f"index kind {kind!r} has no insertion builder — it is "
-                    f"bulk-built natively; drop build= or use build='bulk'"
-                )
-            # "bulk" is the native (and only) construction: nothing to forward.
-        else:
-            raise ValueError(
-                f"index kind {kind!r} has no build={build!r} path; build= "
-                f"applies to {sorted(_BUILD_SELECTABLE | _BULK_NATIVE)}"
-            )
     if walk is not None:
         check_walk_mode(walk)
         if kind not in _WALK_SELECTABLE:

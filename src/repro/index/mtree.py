@@ -1,227 +1,61 @@
-"""M-tree: a dynamic, balanced metric access method (Ciaccia et al. [36]).
+"""M-tree: a balanced-routing metric access method (Ciaccia et al. [36]).
 
 The paper's Alg. 1 builds "a tree T for P, like a Slim-tree, M-tree, or
-R-tree".  This module implements the classic M-tree: routing entries
-carry a pivot, a covering radius, and the distance to their parent
-pivot, which lets range queries prune with two triangle-inequality
-tests before computing any distance.  Subtree sizes are maintained so a
-query ball that swallows a routing ball is counted in O(1) — the
-count-only principle again.
+R-tree".  This module implements the M-tree's node layout: routing
+nodes carry a pivot, a covering radius, and the distance to their
+parent pivot, which lets range queries prune with two
+triangle-inequality tests before computing any distance.  Subtree sizes
+are kept so a query ball that swallows a routing ball is counted in
+O(1) — the count-only principle again.
+
+The tree is bulk-loaded straight into
+:class:`~repro.index.base.FlatTree` arrays by
+:func:`~repro.index.bulk.bulk_build_mtree` (k-way farthest-point
+promotion, level-synchronous), and queries run the shared flat walk.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from typing import Sequence
 
 import numpy as np
 
 from repro.index.base import (
     DEFAULT_WALK,
-    FlatTree,
+    FlatQueryMixin,
     MetricIndex,
-    check_build_mode,
-    check_radii_ascending,
     check_walk_mode,
-    count_walk,
 )
 from repro.index.bulk import bulk_build_mtree
 from repro.metric.base import MetricSpace
 
 
-class _Entry:
-    """Routing or leaf entry.
-
-    Leaf entries have ``subtree is None`` and ``radius == 0``; routing
-    entries point at a child node whose members all lie within
-    ``radius`` of ``pivot_id``.
-    """
-
-    __slots__ = ("pivot_id", "radius", "d_parent", "subtree", "size")
-
-    def __init__(self, pivot_id: int, radius: float = 0.0, subtree: "_Node | None" = None):
-        self.pivot_id = pivot_id
-        self.radius = radius
-        self.d_parent = 0.0
-        self.subtree = subtree
-        self.size = 1 if subtree is None else subtree.size()
-
-
-class _Node:
-    __slots__ = ("is_leaf", "entries")
-
-    def __init__(self, is_leaf: bool):
-        self.is_leaf = is_leaf
-        self.entries: list[_Entry] = []
-
-    def size(self) -> int:
-        return sum(e.size for e in self.entries)
-
-
-class MTree(MetricIndex):
-    """M-tree with hyperplane split and min-max-radius promotion.
+class MTree(FlatQueryMixin, MetricIndex):
+    """Bulk-loaded M-tree with parent-distance pruning.
 
     Parameters
     ----------
     capacity:
-        Maximum entries per node before a split (>= 4); the bulk build
-        uses it as both routing fanout and leaf bucket cap.
-    build:
-        ``"bulk"`` (default) constructs the
-        :class:`~repro.index.base.FlatTree` arrays directly with the
-        level-synchronous :func:`~repro.index.bulk.bulk_build_mtree`
-        (no object nodes, ``self.root is None``); ``"insert"`` keeps
-        the classic per-insert builder as the frozen differential
-        baseline (mirroring ``walk="stack"``).
+        Maximum entries per node (>= 4): the routing fanout and the leaf
+        bucket cap of the bulk-load (a bucket of exact duplicates may
+        exceed it, since no split can separate them).
+    walk:
+        Frontier-walk implementation (see
+        :func:`~repro.index.base.count_walk`).
     """
 
     def __init__(
         self, space: MetricSpace, ids=None, *,
-        capacity: int = 16, walk: str = DEFAULT_WALK, build: str = "bulk",
+        capacity: int = 16, walk: str = DEFAULT_WALK,
     ):
         if capacity < 4:
             raise ValueError(f"capacity must be >= 4, got {capacity}")
         super().__init__(space, ids)
         self.capacity = capacity
         self.walk = check_walk_mode(walk)
-        self.build = check_build_mode(build)
-        self._distance_calls = 0
-        self._flat: FlatTree | None = None
-        if self.build == "insert":
-            self.root: _Node | None = _Node(is_leaf=True)
-            for i in self.ids:
-                self._insert(int(i))
-        else:
-            self.root = None
-            stats: dict = {"distance_calls": 0}
-            self._flat = self._bulk_build(stats)
-            self._distance_calls += stats["distance_calls"]
-
-    def _bulk_build(self, stats: dict) -> FlatTree:
-        """The array bulk-load (SlimTree shares it; capacity = fanout)."""
-        return bulk_build_mtree(
-            self.space, self.ids,
-            fanout=self.capacity, leaf_cap=self.capacity, stats=stats,
+        stats: dict = {"distance_calls": 0}
+        self.flat = bulk_build_mtree(
+            space, self.ids, fanout=capacity, leaf_cap=capacity, stats=stats,
         )
-
-    @property
-    def flat(self) -> FlatTree:
-        """The :class:`~repro.index.base.FlatTree` every query runs on.
-
-        The bulk build *is* these arrays (no object intermediate).
-        With ``build="insert"``, insertion keeps the classic
-        object-node M-tree and the first multi-radius query (or a
-        save) freezes it lazily; structure-mutating passes (e.g. the
-        Slim-tree's slim-down) invalidate the cache.
-        """
-        if self._flat is None:
-            self._flat = self._freeze()
-        return self._flat
-
-    def _freeze(self) -> FlatTree:
-        """Flatten routing entries into struct-of-arrays storage.
-
-        Each routing entry becomes one flat node carrying its pivot,
-        covering radius, subtree size and — for the M-tree's classic
-        pre-distance pruning — the distance to its parent pivot.  A
-        leaf _Node becomes a flat leaf whose bucket (a slice of the
-        element permutation) holds its entries' pivot ids.  The object
-        root has no routing entry, so the flat root is synthesized: its
-        center is the first root pivot and its radius the
-        ``max(d(center, p_i) + r_i)`` covering bound; the root
-        children's parent distances are computed honestly here so the
-        parent filter stays exact.
-        """
-        n = len(self.ids)
-        elems = np.empty(n, dtype=np.intp)
-        d_elem = np.zeros(n, dtype=np.float64)
-        center: list[int] = []
-        radius: list[float] = []
-        size: list[int] = []
-        child_lo: list[int] = []
-        child_hi: list[int] = []
-        elem_lo: list[int] = []
-        elem_hi: list[int] = []
-        d_parent: list[float] = []
-
-        def new_node(c: int, rad: float, sz: int, dpar: float, lo: int, hi: int) -> int:
-            idx = len(center)
-            center.append(int(c))
-            radius.append(float(rad))
-            size.append(int(sz))
-            child_lo.append(0)
-            child_hi.append(0)
-            elem_lo.append(lo)
-            elem_hi.append(hi)
-            d_parent.append(float(dpar))
-            return idx
-
-        def make_flat() -> FlatTree:
-            return FlatTree(
-                center=center, threshold=np.zeros(len(center)), radius=radius,
-                size=size, child_lo=child_lo, child_hi=child_hi,
-                elem_lo=elem_lo, elem_hi=elem_hi, elems=elems, d_parent=d_parent,
-                d_elem=d_elem,
-            )
-
-        root = self.root
-        if root.is_leaf:  # tiny tree: everything hangs off one leaf node
-            members = np.array([e.pivot_id for e in root.entries], dtype=np.intp)
-            c = int(members[0])
-            # The object root carries no routing entry, so its members'
-            # d_parent fields were never set relative to this synthetic
-            # center — measure them honestly (the covering radius needs
-            # the same distances anyway).
-            d_c = (
-                self.space.distances(c, members)
-                if members.size > 1
-                else np.zeros(1, dtype=np.float64)
-            )
-            rad = float(d_c.max()) if members.size > 1 else 0.0
-            new_node(c, rad, members.size, 0.0, 0, n)
-            elems[:] = members
-            d_elem[:] = d_c
-            return make_flat()
-
-        pivots = np.array([e.pivot_id for e in root.entries], dtype=np.intp)
-        c = int(pivots[0])
-        d_piv = self.space.distances(c, pivots)
-        rad = max(
-            float(d_piv[k]) + float(e.radius) for k, e in enumerate(root.entries)
-        )
-        root_idx = new_node(c, rad, root.size(), 0.0, 0, n)
-        queue: deque[tuple[_Entry, int]] = deque()
-        first = len(center)
-        cursor = 0
-        for k, e in enumerate(root.entries):
-            queue.append(
-                (e, new_node(e.pivot_id, e.radius, e.size, float(d_piv[k]), cursor, cursor + e.size))
-            )
-            cursor += e.size
-        child_lo[root_idx], child_hi[root_idx] = first, first + len(root.entries)
-
-        while queue:
-            entry, idx = queue.popleft()
-            node = entry.subtree
-            lo, hi = elem_lo[idx], elem_hi[idx]
-            if node.is_leaf:
-                elems[lo:hi] = [e.pivot_id for e in node.entries]
-                # A leaf entry's d_parent is its distance to the owning
-                # node's pivot — exactly the flat leaf's center — kept
-                # current by insert/split/slim-down.  The level walk's
-                # leaf scatter uses it to skip expensive object-metric
-                # evaluations per member.
-                d_elem[lo:hi] = [e.d_parent for e in node.entries]
-                continue
-            first = len(center)
-            cursor = lo
-            for e in node.entries:
-                queue.append(
-                    (e, new_node(e.pivot_id, e.radius, e.size, e.d_parent, cursor, cursor + e.size))
-                )
-                cursor += e.size
-            child_lo[idx], child_hi[idx] = first, first + len(node.entries)
-        return make_flat()
+        self._distance_calls = stats["distance_calls"]
 
     # -- distances --------------------------------------------------------
 
@@ -229,35 +63,19 @@ class MTree(MetricIndex):
         self._distance_calls += 1
         return self.space.distance(i, j)
 
-    def _d_block(self, left, right) -> np.ndarray:
-        """One bulk distance block, counted honestly.
-
-        The insert hot loops route through here instead of per-entry
-        ``_d`` calls: one ``distances_among`` block per decision.
-        Argument order is preserved (rows are the same "left" side the
-        scalar calls used), and the einsum bulk kernel is bitwise
-        shape-independent, so every entry equals the scalar ``_d``
-        value it replaces — tree structure is unchanged, only the
-        Python-loop overhead is gone.
-        """
-        left = np.asarray(left, dtype=np.intp)
-        right = np.asarray(right, dtype=np.intp)
-        self._distance_calls += int(left.size) * int(right.size)
-        return self.space.distances_among(left, right)
-
     def _d_block_sym(self, pivot_ids) -> np.ndarray:
-        """Symmetric pairwise block over one pivot set.
+        """Symmetric pairwise block over one pivot set, counted honestly.
 
         Vector spaces take the full-square bulk call (the kernel is
         one broadcast either way); object spaces — whose "bulk" is an
         honest per-pair metric loop — evaluate each unordered pair
-        once and mirror, so going wide never doubles the metric cost
-        the scalar loops used to pay.
+        once and mirror.
         """
         ids = np.asarray(pivot_ids, dtype=np.intp)
-        if self.space.is_vector:
-            return self._d_block(ids, ids)
         m = ids.size
+        if self.space.is_vector:
+            self._distance_calls += m * m
+            return self.space.distances_among(ids, ids)
         self._distance_calls += m * (m - 1) // 2
         dm = np.zeros((m, m), dtype=np.float64)
         for a in range(m - 1):
@@ -266,203 +84,7 @@ class MTree(MetricIndex):
             dm[a + 1 :, a] = row
         return dm
 
-    # -- insertion ----------------------------------------------------------
-
-    def _insert(self, obj: int) -> None:
-        path: list[tuple[_Node, _Entry | None]] = []
-        node = self.root
-        parent_entry: _Entry | None = None
-        d_parent = 0.0
-        while not node.is_leaf:
-            path.append((node, parent_entry))
-            best, d_parent = self._choose_subtree(node, obj)
-            if d_parent > best.radius:
-                best.radius = d_parent  # enlarge covering radius on the way down
-            best.size += 1
-            parent_entry = best
-            node = best.subtree  # type: ignore[assignment]
-        entry = _Entry(obj)
-        if parent_entry is not None:
-            # the distance to the chosen pivot fell out of subtree
-            # selection already — no second metric evaluation
-            entry.d_parent = d_parent
-        node.entries.append(entry)
-        if len(node.entries) > self.capacity:
-            self._split(node, path, parent_entry)
-
-    def _choose_subtree(self, node: _Node, obj: int) -> tuple[_Entry, float]:
-        """M-tree heuristic: prefer a covering entry at minimum distance,
-        otherwise the entry needing the least radius enlargement.
-
-        One bulk block measures ``obj`` against every entry pivot at
-        once (the insert hot loop); returns the chosen entry and the
-        distance to its pivot.  First-minimum tie-breaking matches the
-        historical per-entry scan.
-        """
-        entries = node.entries
-        d = self._d_block([obj], [e.pivot_id for e in entries])[0]
-        radii = np.array([e.radius for e in entries], dtype=np.float64)
-        covering = np.nonzero(d <= radii)[0]
-        if covering.size:
-            k = int(covering[np.argmin(d[covering])])
-        else:
-            k = int(np.argmin(d - radii))
-        return entries[k], float(d[k])
-
-    # -- splitting ----------------------------------------------------------
-
-    def _promote(self, entries: list[_Entry]) -> tuple[int, int]:
-        """Pick two pivots.  Sampled mM_RAD: among candidate pairs, take
-        the one minimizing the larger covering radius.
-
-        One ``(m, limit)`` bulk block measures every entry pivot
-        against every candidate pivot; each candidate pair is then
-        scored by array reductions over its two columns.
-        """
-        m = len(entries)
-        limit = min(m, 8)
-        pivots = [e.pivot_id for e in entries]
-        radii = np.array([e.radius for e in entries], dtype=np.float64)
-        # cover[k, c] = d(entries[k], candidate c) + entries[k].radius
-        cover = self._d_block(pivots, pivots[:limit]) + radii[:, None]
-        best_pair = (0, 1)
-        best_score = np.inf
-        for a in range(limit):
-            for b in range(a + 1, limit):
-                to_a = cover[:, a] <= cover[:, b]
-                ra = cover[to_a, a].max() if to_a.any() else 0.0
-                rb = cover[~to_a, b].max() if not to_a.all() else 0.0
-                score = max(float(ra), float(rb))
-                if score < best_score:
-                    best_score = score
-                    best_pair = (a, b)
-        return best_pair
-
-    def _partition(
-        self, entries: list[_Entry], pa: int, pb: int
-    ) -> tuple[list[_Entry], list[_Entry], float, float]:
-        """Generalized-hyperplane partition around the two pivots.
-
-        One ``(m, 2)`` bulk block replaces the two per-entry distance
-        calls; the assignment rule (ties go left) is unchanged.
-        """
-        D = self._d_block([e.pivot_id for e in entries], [pa, pb])
-        left: list[_Entry] = []
-        right: list[_Entry] = []
-        ra = rb = 0.0
-        for k, e in enumerate(entries):
-            da, db = float(D[k, 0]), float(D[k, 1])
-            if da <= db:
-                e.d_parent = da
-                left.append(e)
-                ra = max(ra, da + e.radius)
-            else:
-                e.d_parent = db
-                right.append(e)
-                rb = max(rb, db + e.radius)
-        return left, right, ra, rb
-
-    def _split(
-        self,
-        node: _Node,
-        path: list[tuple[_Node, _Entry | None]],
-        node_entry: _Entry | None,
-    ) -> None:
-        entries = node.entries
-        ia, ib = self._promote(entries)
-        pa, pb = entries[ia].pivot_id, entries[ib].pivot_id
-        left, right, ra, rb = self._partition(entries, pa, pb)
-        if not left or not right:
-            # Heavy duplicates can promote two zero-distance pivots, making
-            # the hyperplane partition one-sided; an empty *internal* node
-            # would later break subtree choice.  Fall back to a balanced
-            # split by distance to pa (ties broken by list order).
-            d_pa = self._d_block([e.pivot_id for e in entries], [pa])[:, 0]
-            order = np.argsort(d_pa, kind="stable")  # list order on ties
-            half = len(entries) // 2
-            left = [entries[int(k)] for k in order[:half]]
-            right = [entries[int(k)] for k in order[half:]]
-            pb = right[0].pivot_id
-            ra = rb = 0.0
-            for e, k in zip(left, order[:half]):
-                e.d_parent = float(d_pa[int(k)])
-                ra = max(ra, e.d_parent + e.radius)
-            d_pb = self._d_block([e.pivot_id for e in right], [pb])[:, 0]
-            for n_r, e in enumerate(right):
-                e.d_parent = float(d_pb[n_r])
-                rb = max(rb, e.d_parent + e.radius)
-        left_node = _Node(node.is_leaf)
-        left_node.entries = left
-        right_node = _Node(node.is_leaf)
-        right_node.entries = right
-        ea = _Entry(pa, ra, left_node)
-        eb = _Entry(pb, rb, right_node)
-
-        if not path:
-            # Node was the root: grow the tree by one level.
-            new_root = _Node(is_leaf=False)
-            new_root.entries = [ea, eb]
-            self.root = new_root
-            return
-        parent, grand_entry = path[-1]
-        assert node_entry is not None
-        parent.entries.remove(node_entry)
-        if grand_entry is not None:
-            ea.d_parent = self._d(pa, grand_entry.pivot_id)
-            eb.d_parent = self._d(pb, grand_entry.pivot_id)
-        parent.entries.extend([ea, eb])
-        if len(parent.entries) > self.capacity:
-            self._split(parent, path[:-1], grand_entry)
-
-    # -- queries ----------------------------------------------------------
-
-    def count_within(self, query_ids: Sequence[int] | np.ndarray, radius: float) -> np.ndarray:
-        query_ids = np.asarray(query_ids, dtype=np.intp)
-        if self.root is None:  # bulk-built: no object nodes to descend
-            counts = count_walk(
-                self.space, query_ids, np.array([float(radius)]), self.flat,
-                walk=self.walk,
-            )
-            return counts[:, 0].astype(np.intp)
-        return np.array(
-            [self._count_one(int(q), float(radius)) for q in query_ids], dtype=np.intp
-        )
-
-    def _count_one(self, q: int, r: float) -> int:
-        total = 0
-        # Stack holds (node, distance from q to the node's parent pivot or None).
-        stack: list[tuple[_Node, float | None]] = [(self.root, None)]
-        while stack:
-            node, d_qp = stack.pop()
-            for e in node.entries:
-                if d_qp is not None and abs(d_qp - e.d_parent) > r + e.radius:
-                    continue  # pruned without computing a distance
-                d = self._d(q, e.pivot_id)
-                if e.subtree is None:
-                    if d <= r:
-                        total += 1
-                    continue
-                if d + e.radius <= r:
-                    total += e.size  # whole ball inside the query
-                elif d - e.radius <= r:
-                    stack.append((e.subtree, d))
-        return total
-
-    def count_within_many(self, query_ids, radii) -> np.ndarray:
-        """All radii for all queries in one walk over the frozen flat
-        arrays (:func:`~repro.index.base.level_count_walk` by default,
-        the stack walk with ``walk="stack"``).
-
-        The walk applies the M-tree's classic parent-distance filter —
-        stored per flat node as ``d_parent``, and per leaf entry as
-        ``d_elem`` for the level walk's object-metric leaf thinning —
-        before computing any distance, and shares every distance across
-        the whole radius ladder.  Inherited by
-        :class:`~repro.index.slimtree.SlimTree`.
-        """
-        query_ids = np.asarray(query_ids, dtype=np.intp)
-        radii = check_radii_ascending(radii)
-        return count_walk(self.space, query_ids, radii, self.flat, walk=self.walk)
+    # -- queries (count_within / count_within_many from FlatQueryMixin) ---
 
     def diameter_estimate(self) -> float:
         """Alg. 1 line 2: max distance between direct successors of the root.
@@ -470,47 +92,27 @@ class MTree(MetricIndex):
         Child balls centred at pivot ``p_i`` with radius ``r_i`` bound
         the member span, so the estimate is
         ``max_{i<j} d(p_i, p_j) + r_i + r_j`` (exact when leaves hang
-        directly off the root).  Bulk-built trees apply the same rule
-        to the flat root's children (a leaf root — all members in one
-        bucket — takes the exact pairwise maximum instead).
+        directly off the root).  A leaf root — all members in one
+        bucket — takes the exact pairwise maximum instead.
         """
-        if self.root is None:
-            flat = self.flat
-            lo, hi = int(flat.child_lo[0]), int(flat.child_hi[0])
-            if lo == hi:  # leaf root: every member in one bucket
-                if flat.elems.size == 1:
-                    return 0.0
-                return float(np.max(np.triu(self._d_block_sym(flat.elems), k=1)))
-            pivots = flat.center[lo:hi]
-            radii = np.asarray(flat.radius[lo:hi], dtype=np.float64)
-            if pivots.size == 1:
-                return 2.0 * float(radii[0])
-            spans = self._d_block_sym(pivots) + radii[:, None] + radii[None, :]
-            return float(np.max(np.triu(spans, k=1)))
-        entries = self.root.entries
-        if len(entries) == 1:
-            return 2.0 * entries[0].radius
-        pivots = [e.pivot_id for e in entries]
-        radii = np.array([e.radius for e in entries], dtype=np.float64)
+        flat = self.flat
+        lo, hi = int(flat.child_lo[0]), int(flat.child_hi[0])
+        if lo == hi:  # leaf root: every member in one bucket
+            if flat.elems.size == 1:
+                return 0.0
+            return float(np.max(np.triu(self._d_block_sym(flat.elems), k=1)))
+        pivots = flat.center[lo:hi]
+        radii = np.asarray(flat.radius[lo:hi], dtype=np.float64)
+        if pivots.size == 1:
+            return 2.0 * float(radii[0])
         spans = self._d_block_sym(pivots) + radii[:, None] + radii[None, :]
         return float(np.max(np.triu(spans, k=1)))
 
     @property
     def distance_calls(self) -> int:
-        """Number of metric evaluations so far (for the ablation bench)."""
+        """Metric evaluations spent by construction and introspection."""
         return self._distance_calls
 
     def height(self) -> int:
-        """Tree height in levels (root = 1).
-
-        The insert build is depth-balanced (every leaf at the same
-        level); the bulk build is not, so its height is the flat
-        tree's maximum depth.
-        """
-        if self.root is None:
-            return self.flat.max_depth()
-        h, node = 1, self.root
-        while not node.is_leaf:
-            h += 1
-            node = node.entries[0].subtree  # type: ignore[assignment]
-        return h
+        """Tree height in levels (root = 1)."""
+        return self.flat.max_depth()

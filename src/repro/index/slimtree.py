@@ -1,134 +1,31 @@
-"""Slim-tree: an M-tree with the MST split and Slim-down (Traina et al. [35]).
+"""Slim-tree: an M-tree with the Slim-down pass (Traina et al. [35]).
 
-The Slim-tree improves on the M-tree in two ways, both implemented
-here:
-
-- **minSpanTree split**: instead of a hyperplane partition around two
-  promoted pivots, build the minimum spanning tree over the
-  overflowing entries and drop its longest edge; the two components
-  become the new nodes.  This minimizes covering-ball overlap, the
-  quantity the Slim-tree's "fat-factor" measures.
-- **Slim-down**: a post-construction pass that migrates leaf entries
-  lying on the border of one ball into a sibling ball that also covers
-  them and is fuller, shrinking covering radii.
+The Slim-tree's contribution over the M-tree is the *Slim-down*: a
+post-construction pass that migrates leaf entries lying on the border
+of one ball into a sibling ball that also covers them and is fuller,
+shrinking covering radii — the ball overlap the Slim-tree's
+"fat-factor" measures.  Here it runs in place on the bulk-loaded
+:class:`~repro.index.base.FlatTree` arrays
+(:func:`~repro.index.bulk.slim_down_flat`).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.index.base import DEFAULT_WALK
 from repro.index.bulk import slim_down_flat
-from repro.index.mtree import MTree, _Entry, _Node
+from repro.index.mtree import MTree
 
 
 class SlimTree(MTree):
-    """M-tree subclass with MST-based splits and optional slim-down.
-
-    With ``build="bulk"`` (the default, inherited from
-    :class:`~repro.index.mtree.MTree`) the tree is the k-way
-    farthest-point bulk-load — no MST splits happen because nothing
-    overflows — and slim-down runs as the flat in-place pass
-    (:func:`~repro.index.bulk.slim_down_flat`).  ``build="insert"``
-    keeps the classic MST-split insertion builder and object slim-down
-    as the differential baseline.
-    """
+    """Bulk-loaded M-tree plus an optional in-place slim-down."""
 
     def __init__(
         self, space, ids=None, *,
         capacity: int = 16, slim_down: bool = True, walk: str = DEFAULT_WALK,
-        build: str = "bulk",
     ):
-        super().__init__(space, ids, capacity=capacity, walk=walk, build=build)
+        super().__init__(space, ids, capacity=capacity, walk=walk)
         if slim_down:
             self.slim_down()
-
-    # -- MST split ----------------------------------------------------------
-
-    def _split_groups(self, entries: list[_Entry]) -> tuple[list[int], list[int]]:
-        """Partition entry indices by removing the longest MST edge."""
-        m = len(entries)
-        # One symmetric block instead of the m(m-1)/2-call Python loop
-        # (object spaces still pay each unordered pair exactly once).
-        dm = self._d_block_sym([e.pivot_id for e in entries])
-        # Prim's algorithm, recording the edges as they are added.
-        in_tree = np.zeros(m, dtype=bool)
-        in_tree[0] = True
-        best_d = dm[0].copy()
-        best_from = np.zeros(m, dtype=np.intp)
-        edges: list[tuple[float, int, int]] = []
-        for _ in range(m - 1):
-            cand = np.where(~in_tree, best_d, np.inf)
-            nxt = int(np.argmin(cand))
-            edges.append((float(best_d[nxt]), int(best_from[nxt]), nxt))
-            in_tree[nxt] = True
-            improved = dm[nxt] < best_d
-            best_d = np.where(improved, dm[nxt], best_d)
-            best_from = np.where(improved, nxt, best_from)
-        # Remove the longest edge and collect the two components.
-        edges.sort()
-        longest = edges[-1]
-        adjacency: dict[int, list[int]] = {i: [] for i in range(m)}
-        for _, u, v in edges[:-1]:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        seen = {longest[1]}
-        stack = [longest[1]]
-        while stack:
-            u = stack.pop()
-            for v in adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        group_a = sorted(seen)
-        group_b = [i for i in range(m) if i not in seen]
-        if not group_b:  # longest-edge tie degenerated; force a balanced cut
-            group_b = [group_a.pop()]
-        return group_a, group_b
-
-    def _split(self, node: _Node, path, node_entry) -> None:
-        entries = node.entries
-        group_a, group_b = self._split_groups(entries)
-
-        def make_node(group: list[int]) -> tuple[_Entry, _Node]:
-            members = [entries[i] for i in group]
-            # Representative: the member minimizing the resulting radius.
-            # One (k, k) bulk block scores every candidate pivot at once;
-            # first-minimum selection matches the historical scan.
-            pivots = [e.pivot_id for e in members]
-            radii = np.array([e.radius for e in members], dtype=np.float64)
-            D = self._d_block_sym(pivots)
-            per_candidate = (D + radii[:, None]).max(axis=0)  # worst member
-            k = int(np.argmin(per_candidate))
-            best_pivot = members[k].pivot_id
-            best_radius = float(per_candidate[k])
-            child = _Node(node.is_leaf)
-            child.entries = members
-            for n_e, e in enumerate(members):
-                # the raw block value: bit-exact d(e, best_pivot), the
-                # quantity the walk's parent-distance filter relies on
-                e.d_parent = float(D[n_e, k])
-            return _Entry(best_pivot, best_radius, child), child
-
-        ea, _ = make_node(group_a)
-        eb, _ = make_node(group_b)
-
-        if not path:
-            new_root = _Node(is_leaf=False)
-            new_root.entries = [ea, eb]
-            self.root = new_root
-            return
-        parent, grand_entry = path[-1]
-        assert node_entry is not None
-        parent.entries.remove(node_entry)
-        if grand_entry is not None:
-            ea.d_parent = self._d(ea.pivot_id, grand_entry.pivot_id)
-            eb.d_parent = self._d(eb.pivot_id, grand_entry.pivot_id)
-        parent.entries.extend([ea, eb])
-        if len(parent.entries) > self.capacity:
-            self._split(parent, path[:-1], grand_entry)
-
-    # -- slim-down ----------------------------------------------------------
 
     def slim_down(self, max_rounds: int = 3) -> int:
         """Migrate border leaf entries into covering siblings; returns moves.
@@ -138,73 +35,24 @@ class SlimTree(MTree):
         moves to B, after which A's radius can shrink.  Repeats until a
         round makes no move or ``max_rounds`` is hit.
         """
-        if self.root is None:  # bulk-built: migrate in place on the flat arrays
-            stats: dict = {"distance_calls": 0}
-            moves = slim_down_flat(
-                self.space, self.flat,
-                capacity=self.capacity, max_rounds=max_rounds, stats=stats,
-            )
-            self._distance_calls += stats["distance_calls"]
-            return moves
-        moves = 0
-        for _ in range(max_rounds):
-            moved = self._slim_down_pass(self.root)
-            moves += moved
-            if moved == 0:
-                break
-        if moves:
-            self._flat = None  # structure changed: re-freeze before the next walk
+        stats: dict = {"distance_calls": 0}
+        moves = slim_down_flat(
+            self.space, self.flat,
+            capacity=self.capacity, max_rounds=max_rounds, stats=stats,
+        )
+        self._distance_calls += stats["distance_calls"]
         return moves
-
-    def _slim_down_pass(self, node: _Node) -> int:
-        if node.is_leaf:
-            return 0
-        moved = 0
-        children = node.entries
-        if children and children[0].subtree is not None and children[0].subtree.is_leaf:
-            for ea in children:
-                leaf_a = ea.subtree
-                if leaf_a is None or not leaf_a.entries or len(leaf_a.entries) <= 1:
-                    continue
-                # Farthest member of A from its pivot.
-                far = max(leaf_a.entries, key=lambda e: e.d_parent)
-                if far.d_parent < ea.radius:
-                    continue  # not on the border
-                for eb in children:
-                    if eb is ea or eb.subtree is None:
-                        continue
-                    if len(eb.subtree.entries) >= self.capacity:
-                        continue
-                    d = self._d(far.pivot_id, eb.pivot_id)
-                    if d <= eb.radius and len(eb.subtree.entries) >= len(leaf_a.entries):
-                        leaf_a.entries.remove(far)
-                        far.d_parent = d
-                        eb.subtree.entries.append(far)
-                        ea.size -= 1
-                        eb.size += 1
-                        ea.radius = max(
-                            (e.d_parent for e in leaf_a.entries), default=0.0
-                        )
-                        moved += 1
-                        break
-        else:
-            for e in children:
-                if e.subtree is not None:
-                    moved += self._slim_down_pass(e.subtree)
-        return moved
 
     def fat_factor(self) -> float:
         """Fraction of extra node accesses caused by ball overlap, in [0, 1].
 
-        Point queries at every indexed element count how many leaf-path
-        nodes would be visited; 0 means disjoint balls (ideal), 1 means
-        every query touches every node.
+        Point queries at every indexed element count how many nodes
+        would be visited; 0 means disjoint balls (ideal), 1 means every
+        query touches every node.
         """
         n = len(self.ids)
         h = self.height()
-        node_count = (
-            self.flat.n_nodes if self.root is None else self._count_nodes(self.root)
-        )
+        node_count = self.flat.n_nodes
         if node_count <= h:
             return 0.0
         total_accesses = 0
@@ -213,31 +61,14 @@ class SlimTree(MTree):
         denom = n * (node_count - h)
         return max(0.0, (total_accesses - h * n) / denom)
 
-    def _count_nodes(self, node: _Node) -> int:
-        if node.is_leaf:
-            return 1
-        return 1 + sum(self._count_nodes(e.subtree) for e in node.entries if e.subtree)
-
     def _point_query_accesses(self, q: int) -> int:
-        if self.root is None:  # bulk-built: descend the flat arrays instead
-            flat = self.flat
-            accesses = 0
-            stack = [0]
-            while stack:
-                i = stack.pop()
-                accesses += 1
-                for c in range(int(flat.child_lo[i]), int(flat.child_hi[i])):
-                    if self._d(q, int(flat.center[c])) <= flat.radius[c]:
-                        stack.append(c)
-            return accesses
+        flat = self.flat
         accesses = 0
-        stack: list[_Node] = [self.root]
+        stack = [0]
         while stack:
-            node = stack.pop()
+            i = stack.pop()
             accesses += 1
-            if node.is_leaf:
-                continue
-            for e in node.entries:
-                if e.subtree is not None and self._d(q, e.pivot_id) <= e.radius:
-                    stack.append(e.subtree)
+            for c in range(int(flat.child_lo[i]), int(flat.child_hi[i])):
+                if self._d(q, int(flat.center[c])) <= flat.radius[c]:
+                    stack.append(c)
         return accesses

@@ -13,7 +13,7 @@ The tree is stored as a :class:`~repro.index.base.FlatTree` and built
 its segment's vantage, and each segment is partitioned in place inside
 one shared permutation array.  No per-node recursion, no ``np.delete``,
 no node objects; queries run the shared flat
-:func:`~repro.index.base.frontier_count_walk`.
+:func:`~repro.index.base.count_walk`.
 """
 
 from __future__ import annotations

@@ -422,7 +422,10 @@ class MetricsRegistry:
                 child = children[values]
                 labels = _labels_text(family.labelnames, values)
                 if family.kind == "histogram":
-                    for bound, cumulative in child.cumulative():
+                    # One locked read of the buckets; _count is its +Inf
+                    # total, so a concurrent observe() cannot skew them.
+                    buckets = child.cumulative()
+                    for bound, cumulative in buckets:
                         le = "+Inf" if math.isinf(bound) else _format_value(bound)
                         bucket_labels = _labels_text(
                             family.labelnames + ("le",), values + (le,)
@@ -433,7 +436,7 @@ class MetricsRegistry:
                     lines.append(
                         f"{family.name}_sum{labels} {_format_value(child.sum)}"
                     )
-                    lines.append(f"{family.name}_count{labels} {child.count}")
+                    lines.append(f"{family.name}_count{labels} {buckets[-1][1]}")
                 else:
                     value = child if isinstance(child, float) else child.value
                     lines.append(f"{family.name}{labels} {_format_value(value)}")
@@ -456,13 +459,14 @@ class MetricsRegistry:
                 child = children[values]
                 labels = dict(zip(family.labelnames, values))
                 if family.kind == "histogram":
+                    buckets = child.cumulative()
                     samples.append({
                         "labels": labels,
-                        "count": child.count,
+                        "count": buckets[-1][1],
                         "sum": child.sum,
                         "buckets": {
                             ("+Inf" if math.isinf(b) else _format_value(b)): c
-                            for b, c in child.cumulative()
+                            for b, c in buckets
                         },
                     })
                 else:

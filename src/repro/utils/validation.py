@@ -22,6 +22,11 @@ def as_float_array(X, *, name: str = "X") -> np.ndarray:
         raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValueError(f"{name} must contain at least one row")
+    return check_finite(arr, name=name)
+
+
+def check_finite(arr: np.ndarray, *, name: str = "X") -> np.ndarray:
+    """Reject NaN or infinite entries; returns ``arr`` unchanged."""
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or infinite values")
     return arr

@@ -1,17 +1,18 @@
-"""Differential suite for the level-synchronous bulk builders (PR 7).
+"""The level-synchronous bulk builds of the M-, Slim- and cover trees.
 
-The array bulk-load must not move a single count: ``count_within_many``
-over a bulk-built :class:`~repro.index.base.FlatTree` has to agree bit
-for bit with the frozen per-insert builders (``build="insert"``) and
-with the brute-force oracle — for M-tree, Slim-tree, and cover tree,
-on vector, string, and tree data, under both walk modes, including the
-regression classes: radius 0 with duplicate points, radii tying exact
-pairwise distances, and negative radii.
+Counts: ``count_within_many`` over a bulk-built
+:class:`~repro.index.base.FlatTree` must agree bit for bit with the
+brute-force oracle — for M-tree, Slim-tree, and cover tree, on vector,
+string, and tree data, under both walks (compiled and level), including
+the regression classes: radius 0 with duplicate points, radii tying
+exact pairwise distances, and negative radii.
 
-Beyond counts, the bulk trees must be *valid* metric trees: the
-element permutation intact, covering radii bounding every member,
-``d_parent``/``d_elem`` exact under the metric, sizes consistent with
-the slices, and Slim-down applicable in place.
+Structure: the bulk trees must be *valid* metric trees, checked on the
+flat arrays themselves — the element permutation intact, children
+partitioning their parent's slice, covering radii bounding every
+member, ``d_parent``/``d_elem`` exact under the metric, cover-tree
+separation and nesting, M-tree node capacity, and Slim-down applicable
+in place.
 """
 
 import numpy as np
@@ -83,8 +84,8 @@ def boundary_radii(space: MetricSpace) -> np.ndarray:
 SPACES = ["vspace", "sspace", "tspace"]
 
 
-def _make(cls, space, *, build, walk="level", small=True):
-    kwargs = {"build": build, "walk": walk}
+def _make(cls, space, *, walk="auto", small=True):
+    kwargs = {"walk": walk}
     if cls is CoverTree:
         kwargs["leaf_size"] = 4 if small else 16
     else:
@@ -92,32 +93,75 @@ def _make(cls, space, *, build, walk="level", small=True):
     return cls(space, **kwargs)
 
 
+def check_cover_tree(space: MetricSpace, tree: CoverTree) -> None:
+    """Cover-tree invariants on the flat arrays.
+
+    At every split node of covering radius ``R`` the children live at
+    the separation ``sep = base**(s-1)``, ``s`` the smallest scale with
+    ``base**s >= R`` (one scale lower while float fuzz lands ``sep`` on
+    or above ``R``).  Nesting: the first child keeps the parent's
+    center.  Separation: sibling centers are pairwise more than ``sep``
+    apart.  Covering: every child's members lie within ``sep`` of its
+    center.
+    """
+    flat = tree.flat
+    base = tree.base
+    for node in range(flat.n_nodes):
+        lo, hi = int(flat.child_lo[node]), int(flat.child_hi[node])
+        if lo == hi:
+            continue
+        radius = float(flat.radius[node])
+        sep = base ** (np.ceil(np.log(radius) / np.log(base)) - 1.0)
+        while sep >= radius:
+            sep /= base
+        assert flat.center[lo] == flat.center[node]
+        centers = flat.center[lo:hi]
+        for a in range(centers.size - 1):
+            d = space.distances(int(centers[a]), centers[a + 1 :])
+            assert np.all(d > sep)
+        assert np.all(flat.radius[lo:hi] <= sep + 1e-12)
+
+
+def check_mtree_capacity(tree: MTree) -> None:
+    """No node routes to more than ``capacity`` children, and no leaf
+    holds more than ``capacity`` members unless they all coincide."""
+    flat = tree.flat
+    fanout = flat.child_hi - flat.child_lo
+    leaf = fanout == 0
+    assert np.all(fanout[~leaf] <= tree.capacity)
+    over = leaf & (flat.size > tree.capacity)
+    assert np.all(flat.radius[over] == 0.0)
+
+
 @pytest.mark.parametrize("cls", BULK_KINDS)
 @pytest.mark.parametrize("fixture", SPACES)
 class TestBulkMatchesInsertAndBruteForce:
+    """Bulk-built trees count exactly like brute force (the class name
+    predates the removal of the insertion builders; brute force is the
+    one oracle)."""
+
     def test_count_within_many_bit_identical(self, cls, fixture, request):
         space = request.getfixturevalue(fixture)
         radii = boundary_radii(space)
         q = np.arange(len(space))
         expected = BruteForceIndex(space).count_within_many(q, radii)
-        insert = _make(cls, space, build="insert").count_within_many(q, radii)
-        bulk = _make(cls, space, build="bulk").count_within_many(q, radii)
-        assert np.array_equal(insert, expected)
-        assert np.array_equal(bulk, expected)
+        for small in (True, False):
+            got = _make(cls, space, small=small).count_within_many(q, radii)
+            assert np.array_equal(got, expected), small
 
     def test_both_walks_agree(self, cls, fixture, request):
         space = request.getfixturevalue(fixture)
         radii = boundary_radii(space)
         q = np.arange(len(space))
         expected = BruteForceIndex(space).count_within_many(q, radii)
-        for walk in ("level", "stack"):
-            got = _make(cls, space, build="bulk", walk=walk).count_within_many(q, radii)
+        for walk in ("level", "compiled"):
+            got = _make(cls, space, walk=walk).count_within_many(q, radii)
             assert np.array_equal(got, expected), walk
 
     def test_single_radius_count_within(self, cls, fixture, request):
         space = request.getfixturevalue(fixture)
         brute = BruteForceIndex(space)
-        tree = _make(cls, space, build="bulk")
+        tree = _make(cls, space)
         q = np.arange(len(space))
         for r in boundary_radii(space):
             assert np.array_equal(
@@ -130,7 +174,7 @@ class TestBulkMatchesInsertAndBruteForce:
 class TestBulkStructuralInvariants:
     def test_permutation_and_slices(self, cls, fixture, request):
         space = request.getfixturevalue(fixture)
-        flat = _make(cls, space, build="bulk").flat
+        flat = _make(cls, space).flat
         assert np.array_equal(np.sort(flat.elems), np.arange(len(space)))
         assert np.all(flat.size == flat.elem_hi - flat.elem_lo)
         # Children partition the parent's element slice contiguously.
@@ -144,7 +188,7 @@ class TestBulkStructuralInvariants:
 
     def test_covering_radii_bound_members(self, cls, fixture, request):
         space = request.getfixturevalue(fixture)
-        flat = _make(cls, space, build="bulk").flat
+        flat = _make(cls, space).flat
         sizes = (flat.elem_hi - flat.elem_lo).astype(np.intp)
         centers = np.repeat(flat.center, sizes)
         members = flat.elems[
@@ -158,7 +202,7 @@ class TestBulkStructuralInvariants:
 
     def test_d_parent_and_d_elem_exact(self, cls, fixture, request):
         space = request.getfixturevalue(fixture)
-        flat = _make(cls, space, build="bulk").flat
+        flat = _make(cls, space).flat
         if flat.d_parent is not None:
             for node in range(flat.n_nodes):
                 lo, hi = int(flat.child_lo[node]), int(flat.child_hi[node])
@@ -179,14 +223,28 @@ class TestBulkStructuralInvariants:
 
 
 @pytest.mark.parametrize("fixture", SPACES)
+def test_cover_tree_separation_and_nesting(fixture, request):
+    space = request.getfixturevalue(fixture)
+    for base in (2.0, 3.0):
+        check_cover_tree(space, CoverTree(space, leaf_size=4, base=base))
+
+
+@pytest.mark.parametrize("cls", [MTree, SlimTree])
+@pytest.mark.parametrize("fixture", SPACES)
+def test_mtree_node_capacity(cls, fixture, request):
+    space = request.getfixturevalue(fixture)
+    for capacity in (4, 5, 16):
+        check_mtree_capacity(cls(space, capacity=capacity))
+
+
+@pytest.mark.parametrize("fixture", SPACES)
 def test_slim_down_valid_on_bulk_trees(fixture, request):
     """Slim-down must run in place on a bulk tree and keep counts exact."""
     space = request.getfixturevalue(fixture)
     radii = boundary_radii(space)
     q = np.arange(len(space))
     expected = BruteForceIndex(space).count_within_many(q, radii)
-    tree = SlimTree(space, capacity=4, build="bulk", slim_down=True)
-    assert tree.root is None  # stayed on the flat path
+    tree = SlimTree(space, capacity=4, slim_down=True)
     assert np.array_equal(tree.count_within_many(q, radii), expected)
     flat = tree.flat
     assert np.array_equal(np.sort(flat.elems), np.arange(len(space)))
@@ -202,57 +260,56 @@ def test_slim_down_valid_on_bulk_trees(fixture, request):
 
 
 class TestBuildSelection:
-    def test_factory_threads_build(self, vspace):
-        for kind, cls in [("mtree", MTree), ("slimtree", SlimTree), ("covertree", CoverTree)]:
-            tree = build_index(vspace, kind=kind, build="insert")
-            assert isinstance(tree, cls)
-            assert tree.root is not None
-            tree = build_index(vspace, kind=kind, build="bulk")
-            assert tree.root is None
+    """There is one build per family: no ``build=`` knob anywhere."""
 
     def test_unknown_build_mode_rejected(self, vspace):
-        with pytest.raises(ValueError, match="unknown build"):
-            build_index(vspace, kind="mtree", build="lazy")
-        with pytest.raises(ValueError, match="unknown build"):
-            MTree(vspace, build="lazy")
+        for build in ("bulk", "insert", "lazy"):
+            with pytest.raises(TypeError, match="build"):
+                build_index(vspace, kind="mtree", build=build)
+            for cls in BULK_KINDS:
+                with pytest.raises(TypeError, match="build"):
+                    cls(vspace, build=build)
 
     def test_bulk_native_kinds_reject_insert(self, vspace):
-        for kind in ("vptree", "balltree"):
-            with pytest.raises(ValueError, match="no insertion builder"):
+        for kind in ("vptree", "balltree", "mtree", "slimtree", "covertree"):
+            with pytest.raises(TypeError, match="build"):
                 build_index(vspace, kind=kind, build="insert")
-            # bulk is their native path: accepted as a no-op selector.
-            build_index(vspace, kind=kind, build="bulk")
 
     def test_kinds_without_bulk_fail_loudly(self, vspace):
         for kind in ("brute", "ckdtree"):
-            with pytest.raises(ValueError, match="no build="):
+            with pytest.raises(TypeError, match="build"):
                 build_index(vspace, kind=kind, build="bulk")
 
     def test_estimator_spec_round_trip(self):
         from repro.api import make_estimator, spec_of
 
-        est = make_estimator("mccatch?build=insert&index=slimtree")
-        assert est.detector.index_build == "insert"
-        assert spec_of(est.detector) == "mccatch?build=insert&index=slimtree"
-        # The default (None) canonicalizes away.
-        assert "build" not in spec_of(McCatch(index="slimtree"))
+        est = make_estimator("mccatch?index=slimtree")
+        assert spec_of(est.detector) == "mccatch?index=slimtree"
+        with pytest.raises(ValueError, match="unknown parameter 'build'"):
+            make_estimator("mccatch?build=insert&index=slimtree")
+        with pytest.raises(TypeError, match="index_build"):
+            McCatch(index="slimtree", index_build="bulk")
+
+    def test_cli_rejects_build_flag(self, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "data.csv"
+        np.savetxt(path, np.random.default_rng(0).normal(size=(20, 2)), delimiter=",")
+        for command in ("detect", "fit"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, str(path), "--build", "bulk"])
+            assert exc.value.code == 2  # argparse: unrecognized arguments
 
     def test_mccatch_end_to_end_on_bulk_trees(self, vspace):
-        # The pipeline's radii ladder hangs off diameter_estimate(),
-        # which legitimately differs between builders — so end-to-end
-        # bit-parity across builds is not guaranteed.  What is: the
-        # bulk path must run the whole pipeline and flag the planted
-        # outlier pair just like the insert path does.
-        a, b = (
-            McCatch(index="slimtree", index_build=build).fit(vspace)
-            for build in ("bulk", "insert")
-        )
+        # The bulk path must run the whole pipeline and flag the
+        # planted outlier pair on every bulk-built family.
         n = len(vspace)
         planted = {n - 3, n - 2, n - 1}  # the 7,7-corner pair + neighbor
-        for result in (a, b):
+        for index in ("mtree", "slimtree", "covertree"):
+            result = McCatch(index=index).fit(vspace)
             assert result.point_scores.shape == (n,)
             assert np.all(np.isfinite(result.point_scores))
             flagged = {
                 int(i) for mc in result.microclusters for i in mc.indices
             }
-            assert planted <= flagged
+            assert planted <= flagged, index

@@ -1,12 +1,12 @@
 """The compiled walk kernel: differential correctness and the loader.
 
-The compiled walk's contract is bit-identity with both numpy walks —
-:func:`repro.index.base.level_count_walk` and the node-major
-:func:`repro.index.base.frontier_count_walk` — for every flat tree
-family, on vector, string, and tree data, across the regression radii
-(negative, 0 with duplicates, ties on exact pairwise distances), and
-through every resumable-frontier split the tree-sharding executor can
-produce.  On top of that sit the loader's guarantees: the on-disk
+The compiled walk's contract is bit-identity with the brute-force
+oracle (:class:`~repro.index.bruteforce.BruteForceIndex`) and so with
+the numpy :func:`repro.index.base.level_count_walk` it mirrors — for
+every flat tree family, on vector, string, and tree data, across the
+regression radii (negative, 0 with duplicates, ties on exact pairwise
+distances), and through every resumable-frontier split the
+tree-sharding executor can produce.  On top of that sit the loader's guarantees: the on-disk
 ``.so`` cache is keyed by source + toolchain (hit on re-probe, miss on
 a source edit), a torn or foreign object under the right name is
 rebuilt once, a missing compiler degrades to the numpy walk with one
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_flat_trees import boundary_radii
+from test_flat_trees import boundary_radii, brute, hard_radii
 
 from repro.api import make_estimator
 from repro.engine import BatchQueryEngine, ShardedWalkExecutor
@@ -39,7 +39,6 @@ from repro.index import (
 )
 from repro.index.base import (
     count_walk,
-    frontier_count_walk,
     level_count_walk,
     open_tree_frontier,
     resolve_walk,
@@ -117,14 +116,9 @@ def tspace():
 SPACES = ["vspace", "wide_vspace", "sspace", "tspace"]
 
 
-def hard_radii(space: MetricSpace) -> np.ndarray:
-    """boundary_radii plus the negative-radius regression rung."""
-    return np.sort(np.concatenate([[-1.0, -0.5], boundary_radii(space)]))
-
-
 @needs_kernel
 class TestCompiledDifferential:
-    """compiled == level == stack, bit for bit, everywhere."""
+    """compiled == level == brute force, bit for bit, everywhere."""
 
     @pytest.mark.parametrize("cls", FLAT_KINDS)
     @pytest.mark.parametrize("fixture", SPACES)
@@ -133,18 +127,18 @@ class TestCompiledDifferential:
         radii = hard_radii(space)
         q = np.arange(len(space))
         flat = cls(space).flat
-        level = level_count_walk(space, q, radii, flat)
-        assert np.array_equal(compiled_count_walk(space, q, radii, flat), level)
-        assert np.array_equal(frontier_count_walk(space, q, radii, flat), level)
+        expected = brute(space, radii)
+        assert np.array_equal(compiled_count_walk(space, q, radii, flat), expected)
+        assert np.array_equal(level_count_walk(space, q, radii, flat), expected)
 
     @pytest.mark.parametrize("cls", FLAT_KINDS)
     def test_subset_queries(self, cls, vspace):
         radii = hard_radii(vspace)
         q = np.arange(1, len(vspace), 3)
-        flat = cls(vspace, np.arange(0, len(vspace), 2)).flat
+        ids = np.arange(0, len(vspace), 2)
+        flat = cls(vspace, ids).flat
         assert np.array_equal(
-            compiled_count_walk(vspace, q, radii, flat),
-            level_count_walk(vspace, q, radii, flat),
+            compiled_count_walk(vspace, q, radii, flat), brute(vspace, radii, q, ids)
         )
 
     @pytest.mark.parametrize("fixture", SPACES)
@@ -155,8 +149,7 @@ class TestCompiledDifferential:
         q = np.arange(len(space))
         flat = MTree(space, capacity=4).flat
         assert np.array_equal(
-            compiled_count_walk(space, q, radii, flat),
-            level_count_walk(space, q, radii, flat),
+            compiled_count_walk(space, q, radii, flat), brute(space, radii)
         )
 
     def test_empty_radii_and_empty_queries(self, vspace):
@@ -177,7 +170,7 @@ class TestCompiledDifferential:
         radii = boundary_radii(space)
         q = np.arange(len(space))
         flat = VPTree(space).flat
-        expected = level_count_walk(space, q, radii, flat)
+        expected = brute(space, radii)
         partial, frontier = open_tree_frontier(space, q, radii, flat, min_nodes=pieces)
         for piece in split_frontier(frontier, pieces):
             partial += compiled_count_walk(space, q, radii, flat, frontier=piece)
@@ -205,7 +198,7 @@ class TestCompiledDifferential:
         flat = VPTree(vspace).flat
         stats: dict = {}
         counts = compiled_count_walk(vspace, q, radii, flat, stats=stats)
-        assert np.array_equal(counts, level_count_walk(vspace, q, radii, flat))
+        assert np.array_equal(counts, brute(vspace, radii))
         for key in ("steps", "entries", "distance_calls",
                     "searchsorted_calls", "scatter_calls"):
             assert stats[key] > 0
@@ -217,12 +210,9 @@ class TestCompiledDifferential:
         compiled = VPTree(vspace, walk="compiled")
         level = VPTree(vspace, walk="level")
         assert auto.walk == "auto" and resolve_walk(auto.walk) == "compiled"
-        assert np.array_equal(
-            compiled.count_within_many(q, radii), level.count_within_many(q, radii)
-        )
-        assert np.array_equal(
-            auto.count_within_many(q, radii), level.count_within_many(q, radii)
-        )
+        expected = brute(vspace, radii)
+        for tree in (auto, compiled, level):
+            assert np.array_equal(tree.count_within_many(q, radii), expected)
 
 
 @needs_kernel
@@ -235,7 +225,7 @@ class TestShardedCompiled:
         radii = boundary_radii(vspace)
         q = np.arange(len(vspace))
         tree = VPTree(vspace, walk="level")
-        expected = tree.count_within_many(q, radii)
+        expected = brute(vspace, radii)
         got = ShardedWalkExecutor(
             tree, workers=workers, backend="thread", shard_by=shard_by,
             walk="compiled",
@@ -248,7 +238,7 @@ class TestShardedCompiled:
         radii = boundary_radii(space)
         q = np.arange(len(space))
         tree = VPTree(space, walk="level")
-        expected = tree.count_within_many(q, radii)
+        expected = brute(space, radii)
         for shard_by in ("query", "tree"):
             got = ShardedWalkExecutor(
                 tree, workers=2, backend="thread", shard_by=shard_by,
@@ -261,7 +251,7 @@ class TestShardedCompiled:
         radii = boundary_radii(vspace)
         q = np.arange(len(vspace))
         tree = cls(vspace, walk="level")
-        expected = tree.count_within_many(q, radii)
+        expected = brute(vspace, radii)
         got = ShardedWalkExecutor(
             tree, workers=3, backend="thread", shard_by="tree", walk="compiled"
         ).count_within_many(q, radii)
@@ -290,7 +280,9 @@ class TestWalkSelection:
     def test_auto_resolves_to_available_walk(self):
         resolved = resolve_walk("auto")
         assert resolved == ("compiled" if kernel_available() else "level")
-        assert resolve_walk("stack") == "stack"
+        assert resolve_walk("level") == "level"
+        with pytest.raises(ValueError, match="unknown walk 'stack'"):
+            resolve_walk("stack")
 
     def test_count_walk_rejects_unknown_mode(self, vspace):
         with pytest.raises(ValueError, match="walk"):
@@ -302,13 +294,35 @@ class TestWalkSelection:
             VPTree(vspace, walk="recursive")
 
     def test_stack_walk_rejects_frontier(self, vspace):
+        """The node-major stack walk is gone: ``walk="stack"`` is an
+        unknown walk everywhere — with or without a frontier, on a
+        tree, an engine, a spec, the CLI, or a saved archive."""
         flat = VPTree(vspace).flat
         q = np.arange(len(vspace))
         radii = boundary_radii(vspace)
         _, frontier = open_tree_frontier(vspace, q, radii, flat, min_nodes=2)
-        with pytest.raises(ValueError, match="stack"):
-            count_walk(vspace, q, radii, flat, walk="stack",
-                       frontier=split_frontier(frontier, 2)[0])
+        for piece in (None, split_frontier(frontier, 2)[0]):
+            with pytest.raises(ValueError, match="unknown walk 'stack'"):
+                count_walk(vspace, q, radii, flat, walk="stack", frontier=piece)
+        with pytest.raises(ValueError, match="unknown walk 'stack'"):
+            BatchQueryEngine(VPTree(vspace), walk="stack")
+        with pytest.raises(ValueError, match="unknown walk 'stack'"):
+            make_estimator("mccatch?index=vptree&walk=stack")
+
+    def test_stack_walk_rejected_by_cli_and_archives(self, vspace, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "data.csv"
+        np.savetxt(path, np.random.default_rng(0).normal(size=(20, 2)), delimiter=",")
+        for command in ("detect", "fit"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, str(path), "--walk", "stack"])
+            assert exc.value.code == 2  # argparse: invalid choice
+        tree = VPTree(vspace)
+        tree.walk = "stack"  # an archive written when the stack walk existed
+        saved = save_index(tree, tmp_path / "stack.npz")
+        with pytest.raises(ValueError, match="unknown walk 'stack'"):
+            load_index(saved, vspace)
 
     def test_disabled_kernel_falls_back_with_one_warning(self, vspace, monkeypatch):
         monkeypatch.setenv(loader.ENV_DISABLE, "1")
@@ -323,7 +337,7 @@ class TestWalkSelection:
                 compiled_count_walk(vspace, q, radii, flat)
             with pytest.warns(RuntimeWarning, match="REPRO_NO_CKERNEL"):
                 counts = count_walk(vspace, q, radii, flat, walk="compiled")
-            assert np.array_equal(counts, level_count_walk(vspace, q, radii, flat))
+            assert np.array_equal(counts, brute(vspace, radii))
             # The warning fires once per process, not once per call.
             import warnings as _warnings
 
@@ -469,8 +483,7 @@ class TestLoaderCache:
         radii = boundary_radii(vspace)
         flat = VPTree(vspace).flat
         assert np.array_equal(
-            compiled_count_walk(vspace, q, radii, flat),
-            level_count_walk(vspace, q, radii, flat),
+            compiled_count_walk(vspace, q, radii, flat), brute(vspace, radii)
         )
 
     def test_missing_compiler_degrades_loudly(self, fresh_cache, vspace, monkeypatch):
@@ -485,7 +498,7 @@ class TestLoaderCache:
         flat = VPTree(vspace).flat
         with pytest.warns(RuntimeWarning, match="compiler"):
             counts = count_walk(vspace, q, radii, flat, walk="compiled")
-        assert np.array_equal(counts, level_count_walk(vspace, q, radii, flat))
+        assert np.array_equal(counts, brute(vspace, radii))
 
     def test_concurrent_first_build_from_two_processes(self, fresh_cache):
         """Two processes race the first build; both must load an intact

@@ -1,12 +1,13 @@
-"""Structural equivalence of the flat array-backed trees.
+"""The flat array-backed trees: counts pinned to brute force, and their
+structural invariants.
 
-The flat refactor must not move a single count: ``count_within_many``
-over :class:`~repro.index.base.FlatTree` storage has to agree bit for
-bit with the preserved pre-refactor object-tree walks
-(:mod:`repro.index.reference`) and with the brute-force oracle — for
-every index kind, on vector, string, and tree data, including the
-PR 1 regression class: radius 0 with duplicate points and radii that
-tie exact pairwise distances.
+Brute force is the one oracle: ``count_within_many`` / ``count_within``
+over :class:`~repro.index.base.FlatTree` storage must agree bit for bit
+with :class:`~repro.index.bruteforce.BruteForceIndex` for every flat
+family, under both walks (``compiled`` and ``level``), on full and
+subset indexes, sharded across workers, on vector, string, and tree
+data — including the regression class: radius 0 with duplicate points,
+radii that tie exact pairwise distances, and negative radii.
 """
 
 import numpy as np
@@ -21,13 +22,14 @@ from repro.index import (
     SlimTree,
     VPTree,
 )
+from repro.engine import ShardedWalkExecutor
 from repro.index.base import concat_ranges
-from repro.index.reference import ReferenceBallTree, ReferenceVPTree
 from repro.metric.base import MetricSpace
 from repro.metric.strings import levenshtein
 from repro.metric.trees import LabeledTree, tree_edit_distance
 
 FLAT_KINDS = [VPTree, BallTree, CoverTree, MTree, SlimTree]
+WALKS = ["level", "compiled"]
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +80,17 @@ def boundary_radii(space: MetricSpace) -> np.ndarray:
     return np.sort(np.array(ladder, dtype=np.float64))
 
 
+def hard_radii(space: MetricSpace) -> np.ndarray:
+    """boundary_radii plus the negative-radius regression rungs."""
+    return np.sort(np.concatenate([[-1.0, -0.5], boundary_radii(space)]))
+
+
+def brute(space, radii, q=None, ids=None) -> np.ndarray:
+    """The oracle's ``(q, a)`` count matrix."""
+    index = BruteForceIndex(space, ids)
+    return index.count_within_many(index.ids if q is None else q, radii)
+
+
 SPACES = ["vspace", "sspace", "tspace"]
 
 
@@ -86,48 +99,50 @@ SPACES = ["vspace", "sspace", "tspace"]
 class TestFlatMatchesBruteForce:
     def test_count_within_many_bit_identical(self, cls, fixture, request):
         space = request.getfixturevalue(fixture)
-        radii = boundary_radii(space)
+        radii = hard_radii(space)
         q = np.arange(len(space))
         expected = BruteForceIndex(space).count_within_many(q, radii)
-        got = cls(space).count_within_many(q, radii)
-        assert np.array_equal(got, expected)
+        for walk in WALKS:
+            got = cls(space, walk=walk).count_within_many(q, radii)
+            assert np.array_equal(got, expected), walk
 
     def test_count_within_each_boundary_radius(self, cls, fixture, request):
         space = request.getfixturevalue(fixture)
         brute = BruteForceIndex(space)
         idx = cls(space)
         q = np.arange(len(space))
-        for r in boundary_radii(space):
+        for r in hard_radii(space):
             assert np.array_equal(
                 idx.count_within(q, float(r)), brute.count_within(q, float(r))
             )
 
-
-@pytest.mark.parametrize(
-    "flat_cls,ref_cls", [(VPTree, ReferenceVPTree), (BallTree, ReferenceBallTree)]
-)
-@pytest.mark.parametrize("fixture", SPACES)
-class TestFlatMatchesObjectWalk:
-    """Flat counts equal the pre-refactor object-tree walks bit for bit."""
-
-    def test_count_within_many(self, flat_cls, ref_cls, fixture, request):
-        space = request.getfixturevalue(fixture)
-        radii = boundary_radii(space)
-        q = np.arange(len(space))
-        assert np.array_equal(
-            flat_cls(space).count_within_many(q, radii),
-            ref_cls(space).count_within_many(q, radii),
-        )
-
-    def test_subset_index(self, flat_cls, ref_cls, fixture, request):
+    def test_subset_index(self, cls, fixture, request):
         space = request.getfixturevalue(fixture)
         ids = np.arange(0, len(space), 2)
         queries = np.arange(1, len(space), 3)
-        radii = boundary_radii(space)
-        assert np.array_equal(
-            flat_cls(space, ids).count_within_many(queries, radii),
-            ref_cls(space, ids).count_within_many(queries, radii),
-        )
+        radii = hard_radii(space)
+        expected = BruteForceIndex(space, ids).count_within_many(queries, radii)
+        for walk in WALKS:
+            got = cls(space, ids, walk=walk).count_within_many(queries, radii)
+            assert np.array_equal(got, expected), walk
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("cls", FLAT_KINDS)
+def test_sharded_counts_match_brute_force(cls, walk, workers, vspace, sspace):
+    """Both sharding axes over the thread pool, any worker count."""
+    for space in (vspace, sspace):
+        radii = hard_radii(space)
+        q = np.arange(len(space))
+        expected = BruteForceIndex(space).count_within_many(q, radii)
+        tree = cls(space)
+        for shard_by in ("query", "tree"):
+            got = ShardedWalkExecutor(
+                tree, workers=workers, backend="thread", shard_by=shard_by,
+                walk=walk,
+            ).count_within_many(q, radii)
+            assert np.array_equal(got, expected), (shard_by, space.is_vector)
 
 
 class TestFlatTreeInvariants:
@@ -227,10 +242,12 @@ class TestFlatTreeInvariants:
 
 
 class TestSlimDownInvalidatesFreeze:
+    """Slim-down after a query must drop the walk's cached leaf snapshots."""
+
     def test_post_slim_counts_still_exact(self, vspace):
-        tree = SlimTree(vspace, capacity=4, slim_down=False)
-        _ = tree.count_within_many(np.arange(5), np.array([0.5, 1.0]))  # freeze now
-        tree.slim_down()
+        tree = SlimTree(vspace, capacity=5, slim_down=False)
+        _ = tree.count_within_many(np.arange(5), np.array([0.5, 1.0]))  # fill caches
+        assert tree.slim_down() > 0  # capacity 5 migrates a member on vspace
         radii = boundary_radii(vspace)
         q = np.arange(len(vspace))
         expected = BruteForceIndex(vspace).count_within_many(q, radii)

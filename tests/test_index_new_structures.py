@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_bulk_build import check_cover_tree
+
 from repro.index import BallTree, BruteForceIndex, CoverTree, LAESAIndex, build_index
 from repro.metric.base import MetricSpace
 from repro.metric.strings import levenshtein
@@ -39,45 +41,32 @@ def words():
 
 class TestCoverTree:
     def test_covering_invariant(self, blobs):
-        """Every node's members lie within its covering radius <= base**scale."""
-        tree = CoverTree(blobs, leaf_size=4, build="insert")
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            assert node.radius <= tree.base ** node.scale + 1e-9
-            stack.extend(node.children)
+        """Every node's members lie within its covering radius."""
+        flat = CoverTree(blobs, leaf_size=4).flat
+        for i in range(flat.n_nodes):
+            members = flat.elems[flat.elem_lo[i] : flat.elem_hi[i]]
+            d = blobs.distances(int(flat.center[i]), members)
+            assert d.max() <= flat.radius[i] + 1e-9
 
     def test_child_separation(self, blobs):
-        """Sibling centers are separated by more than base**(scale-1)."""
-        tree = CoverTree(blobs, leaf_size=4, build="insert")
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            centers = [ch.center for ch in node.children]
-            for a in range(len(centers)):
-                for b in range(a + 1, len(centers)):
-                    d = blobs.distance(centers[a], centers[b])
-                    assert d > tree.base ** (node.scale - 1) - 1e-9
-            stack.extend(node.children)
+        """Sibling centers are separated by more than the child scale
+        ``base**(s-1)``, and every child fits inside it (see
+        :func:`test_bulk_build.check_cover_tree`)."""
+        check_cover_tree(blobs, CoverTree(blobs, leaf_size=4))
 
     def test_nesting_first_child_keeps_center(self, blobs):
-        tree = CoverTree(blobs, leaf_size=4, build="insert")
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if node.children:
-                assert node.children[0].center == node.center
-            stack.extend(node.children)
+        flat = CoverTree(blobs, leaf_size=4).flat
+        internal = np.flatnonzero(flat.child_lo < flat.child_hi)
+        assert internal.size
+        assert np.array_equal(flat.center[flat.child_lo[internal]], flat.center[internal])
 
     def test_sizes_partition_members(self, blobs):
-        tree = CoverTree(blobs, leaf_size=4, build="insert")
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if node.children:
-                assert sum(ch.size for ch in node.children) == node.size
-            stack.extend(node.children)
-        assert tree.root.size == len(blobs)
+        flat = CoverTree(blobs, leaf_size=4).flat
+        for i in range(flat.n_nodes):
+            lo, hi = int(flat.child_lo[i]), int(flat.child_hi[i])
+            if lo < hi:
+                assert int(flat.size[lo:hi].sum()) == flat.size[i]
+        assert flat.size[0] == len(blobs)
 
     def test_singleton_space(self):
         space = MetricSpace(np.array([[1.0, 2.0]]))
@@ -87,8 +76,8 @@ class TestCoverTree:
 
     def test_identical_points_become_leaf(self):
         space = MetricSpace(np.zeros((50, 2)))
-        tree = CoverTree(space, leaf_size=4, build="insert")
-        assert tree.root.bucket is not None  # radius 0 short-circuits
+        tree = CoverTree(space, leaf_size=4)
+        assert tree.flat.is_leaf(0)  # radius 0 short-circuits
         assert tree.count_within([0], 0.0)[0] == 50
 
     def test_max_depth_and_node_count(self, blobs):

@@ -1,62 +1,44 @@
-"""Structure-specific index tests: M-tree invariants, Slim-tree split,
-R-tree packing, VP-tree determinism, base-class validation."""
+"""Structure-specific index tests: M-tree invariants, Slim-tree
+slim-down, R-tree packing, VP-tree determinism, base-class validation."""
 
 import numpy as np
 import pytest
 
+from test_bulk_build import check_mtree_capacity
+
 from repro.index import BruteForceIndex, MTree, RTree, SlimTree, VPTree
-from repro.index.mtree import _Node
+from repro.index.base import FlatTree
 from repro.metric.base import MetricSpace
 
 
-def _check_covering(tree: MTree, node: _Node, space) -> None:
-    """Every member of a routing ball lies within its covering radius."""
-    for e in node.entries:
-        if e.subtree is None:
-            continue
-        members = _collect(e.subtree)
-        for m in members:
-            assert space.distance(m, e.pivot_id) <= e.radius + 1e-9
-        assert e.size == len(members)
-        _check_covering(tree, e.subtree, space)
-
-
-def _collect(node: _Node) -> list[int]:
-    out = []
-    for e in node.entries:
-        if e.subtree is None:
-            out.append(e.pivot_id)
-        else:
-            out.extend(_collect(e.subtree))
-    return out
+def _check_covering(flat: FlatTree, space) -> None:
+    """Every node's members lie within its covering radius, and the
+    children's sizes add up to their parent's."""
+    for i in range(flat.n_nodes):
+        members = flat.elems[flat.elem_lo[i] : flat.elem_hi[i]]
+        d = space.distances(int(flat.center[i]), members)
+        assert d.max() <= flat.radius[i] + 1e-9
+        assert flat.size[i] == members.size
+        lo, hi = int(flat.child_lo[i]), int(flat.child_hi[i])
+        if lo < hi:
+            assert int(flat.size[lo:hi].sum()) == flat.size[i]
 
 
 class TestMTreeInvariants:
     @pytest.mark.parametrize("capacity", [4, 8, 16])
     def test_covering_radii_and_sizes(self, small_points, capacity):
         space = MetricSpace(small_points)
-        tree = MTree(space, capacity=capacity, build="insert")
-        _check_covering(tree, tree.root, space)
+        tree = MTree(space, capacity=capacity)
+        _check_covering(tree.flat, space)
 
     def test_all_elements_reachable(self, small_points):
         space = MetricSpace(small_points)
-        tree = MTree(space, capacity=4, build="insert")
-        if tree.root.is_leaf:
-            members = [e.pivot_id for e in tree.root.entries]
-        else:
-            members = _collect(tree.root)
-        assert sorted(members) == list(range(len(space)))
+        tree = MTree(space, capacity=4)
+        assert sorted(tree.flat.elems.tolist()) == list(range(len(space)))
 
     def test_node_capacity_respected(self, small_points):
         space = MetricSpace(small_points)
-        tree = MTree(space, capacity=5, build="insert")
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            assert len(node.entries) <= 5
-            for e in node.entries:
-                if e.subtree is not None:
-                    stack.append(e.subtree)
+        check_mtree_capacity(MTree(space, capacity=5))
 
     def test_height_grows_with_data(self):
         rng = np.random.default_rng(0)
@@ -65,9 +47,11 @@ class TestMTreeInvariants:
         assert large.height() > small.height()
 
     def test_distance_calls_tracked(self, small_points):
-        tree = MTree(MetricSpace(small_points), capacity=8, build="insert")
+        tree = MTree(MetricSpace(small_points), capacity=8)
+        # the bulk-load measures every element against the root center
+        assert tree.distance_calls >= len(small_points)
         before = tree.distance_calls
-        tree.count_within(np.array([0]), 1.0)
+        tree.diameter_estimate()
         assert tree.distance_calls > before
 
     def test_capacity_validation(self, small_points):
@@ -78,8 +62,9 @@ class TestMTreeInvariants:
 class TestSlimTree:
     def test_covering_invariant_after_slim_down(self, small_points):
         space = MetricSpace(small_points)
-        tree = SlimTree(space, capacity=4, slim_down=True, build="insert")
-        _check_covering(tree, tree.root, space)
+        tree = SlimTree(space, capacity=4, slim_down=True)
+        _check_covering(tree.flat, space)
+        check_mtree_capacity(tree)
 
     def test_counts_still_exact_after_slim_down(self, small_points):
         space = MetricSpace(small_points)

@@ -1,15 +1,13 @@
 """Differential correctness of the level-synchronous walk.
 
-The level walk's contract is bit-identity with the node-major stack
-walk (:func:`repro.index.base.frontier_count_walk`) — the same
-distances (queries stay on the Q side of every metric call), the same
-``searchsorted`` boundary decisions, the same integer credits — for
-every flat tree family, on vector, string, and tree data, including
-the regression class the flat-tree tests pin (radius 0 with
-duplicates, radii tying exact pairwise distances).  On top of that sit
-the subtree-sharding primitives: opening the top of the tree, splitting
-the frontier into disjoint node ranges, and resuming each piece must
-sum to the serial matrix for any piece count, worker count, or backend.
+The level walk's contract is bit-identity with the brute-force oracle
+(:class:`~repro.index.bruteforce.BruteForceIndex`) for every flat tree
+family, on vector, string, and tree data, including the regression
+class the flat-tree tests pin (radius 0 with duplicates, radii tying
+exact pairwise distances).  On top of that sit the subtree-sharding
+primitives: opening the top of the tree, splitting the frontier into
+disjoint node ranges, and resuming each piece must sum to the oracle's
+matrix for any piece count, worker count, or backend.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from test_flat_trees import boundary_radii
+from test_flat_trees import boundary_radii, brute
 
 from repro import McCatch
 from repro.api import make_estimator
@@ -31,11 +29,11 @@ from repro.index import (
 )
 from repro.index.base import (
     count_walk,
-    frontier_count_walk,
     level_count_walk,
     open_tree_frontier,
     split_frontier,
 )
+from repro.index.ckernel import compiled_count_walk, kernel_available
 from repro.io.indexes import load_index, save_index
 from repro.metric.base import MetricSpace
 from repro.metric.strings import levenshtein
@@ -88,7 +86,9 @@ SPACES = ["vspace", "sspace", "tspace"]
 
 
 class TestLevelMatchesStack:
-    """The level walk equals the stack walk bit for bit."""
+    """The level walk equals brute force bit for bit (the class name
+    predates the removal of the node-major stack walk; brute force is
+    the one oracle)."""
 
     @pytest.mark.parametrize("cls", FLAT_KINDS)
     @pytest.mark.parametrize("fixture", SPACES)
@@ -98,18 +98,17 @@ class TestLevelMatchesStack:
         q = np.arange(len(space))
         flat = cls(space).flat
         assert np.array_equal(
-            level_count_walk(space, q, radii, flat),
-            frontier_count_walk(space, q, radii, flat),
+            level_count_walk(space, q, radii, flat), brute(space, radii)
         )
 
     @pytest.mark.parametrize("cls", FLAT_KINDS)
     def test_subset_queries(self, cls, vspace):
         radii = boundary_radii(vspace)
         q = np.arange(1, len(vspace), 3)
-        flat = cls(vspace, np.arange(0, len(vspace), 2)).flat
+        ids = np.arange(0, len(vspace), 2)
+        flat = cls(vspace, ids).flat
         assert np.array_equal(
-            level_count_walk(vspace, q, radii, flat),
-            frontier_count_walk(vspace, q, radii, flat),
+            level_count_walk(vspace, q, radii, flat), brute(vspace, radii, q, ids)
         )
 
     @pytest.mark.parametrize("cls", FLAT_KINDS)
@@ -117,44 +116,46 @@ class TestLevelMatchesStack:
         radii = boundary_radii(vspace)
         q = np.arange(len(vspace))
         level = cls(vspace, walk="level")
-        stack = cls(vspace, walk="stack")
+        compiled = cls(vspace, walk="compiled")
         # The unqualified default is the environment-resolved "auto".
         assert cls(vspace).walk == "auto"
-        assert level.walk == "level" and stack.walk == "stack"
-        assert np.array_equal(
-            level.count_within_many(q, radii), stack.count_within_many(q, radii)
-        )
+        assert level.walk == "level" and compiled.walk == "compiled"
+        expected = brute(vspace, radii)
+        assert np.array_equal(level.count_within_many(q, radii), expected)
+        assert np.array_equal(compiled.count_within_many(q, radii), expected)
 
     def test_both_walks_collect_comparable_stats(self, vspace):
         radii = boundary_radii(vspace)
         q = np.arange(len(vspace))
         flat = VPTree(vspace).flat
-        level_stats: dict = {}
-        stack_stats: dict = {}
-        a = level_count_walk(vspace, q, radii, flat, stats=level_stats)
-        b = frontier_count_walk(vspace, q, radii, flat, stats=stack_stats)
-        assert np.array_equal(a, b)
-        for stats in (level_stats, stack_stats):
+        walks = [level_count_walk]
+        if kernel_available():
+            walks.append(compiled_count_walk)
+        collected = []
+        for walk in walks:
+            stats: dict = {}
+            assert np.array_equal(
+                walk(vspace, q, radii, flat, stats=stats), brute(vspace, radii)
+            )
             for key in ("steps", "entries", "distance_calls",
                         "searchsorted_calls", "scatter_calls"):
                 assert stats[key] > 0
-        # The level walk groups bookkeeping into O(depth) dispatches
-        # while the stack walk pays one set per node visit — and its
-        # virtual leaves stop descending into small single-rung
-        # subtrees, so it touches no *more* frontier entries than the
-        # stack walk (fewer whenever virtualization kicks in).
-        assert level_stats["entries"] <= stack_stats["entries"]
-        assert level_stats["steps"] < stack_stats["steps"]
-        assert level_stats["distance_calls"] < stack_stats["distance_calls"]
+            collected.append(stats)
+        # The compiled walk mirrors the level walk's frontier step for
+        # step: one step per depth, the same entries on each.
+        for stats in collected[1:]:
+            assert stats["steps"] == collected[0]["steps"]
+            assert stats["entries"] == collected[0]["entries"]
 
     def test_walk_kwarg_validated(self, vspace):
-        with pytest.raises(ValueError, match="walk"):
-            VPTree(vspace, walk="recursive")
-        with pytest.raises(ValueError, match="walk"):
-            count_walk(
-                vspace, np.arange(3), np.array([1.0]), VPTree(vspace).flat,
-                walk="recursive",
-            )
+        for walk in ("recursive", "stack"):
+            with pytest.raises(ValueError, match="unknown walk"):
+                VPTree(vspace, walk=walk)
+            with pytest.raises(ValueError, match="unknown walk"):
+                count_walk(
+                    vspace, np.arange(3), np.array([1.0]), VPTree(vspace).flat,
+                    walk=walk,
+                )
 
 
 class TestFrontierSplitting:
@@ -167,7 +168,7 @@ class TestFrontierSplitting:
         radii = boundary_radii(space)
         q = np.arange(len(space))
         flat = VPTree(space).flat
-        expected = level_count_walk(space, q, radii, flat)
+        expected = brute(space, radii)
         partial, frontier = open_tree_frontier(
             space, q, radii, flat, min_nodes=pieces
         )
@@ -180,7 +181,7 @@ class TestFrontierSplitting:
         radii = boundary_radii(vspace)
         q = np.arange(len(vspace))
         flat = cls(vspace).flat
-        expected = level_count_walk(vspace, q, radii, flat)
+        expected = brute(vspace, radii)
         partial, frontier = open_tree_frontier(vspace, q, radii, flat, min_nodes=5)
         for piece in split_frontier(frontier, 5):
             partial += level_count_walk(vspace, q, radii, flat, frontier=piece)
@@ -207,7 +208,7 @@ class TestFrontierSplitting:
             vspace, q, radii, flat, min_nodes=10**9
         )
         assert frontier.nodes.size == 0
-        assert np.array_equal(partial, level_count_walk(vspace, q, radii, flat))
+        assert np.array_equal(partial, brute(vspace, radii))
 
 
 class TestTreeSharding:
@@ -220,7 +221,7 @@ class TestTreeSharding:
         radii = boundary_radii(space)
         q = np.arange(len(space))
         tree = VPTree(space)
-        expected = tree.count_within_many(q, radii)
+        expected = brute(space, radii)
         got = ShardedWalkExecutor(
             tree, workers=workers, backend="thread", shard_by="tree"
         ).count_within_many(q, radii)
@@ -232,7 +233,7 @@ class TestTreeSharding:
         radii = boundary_radii(space)
         q = np.arange(len(space))
         tree = VPTree(space)
-        expected = tree.count_within_many(q, radii)
+        expected = brute(space, radii)
         with ShardedWalkExecutor(
             tree, workers=2, shards=3, backend="process", shard_by="tree"
         ) as ex:
@@ -243,7 +244,7 @@ class TestTreeSharding:
         radii = boundary_radii(vspace)
         q = np.arange(len(vspace))
         tree = cls(vspace)
-        expected = tree.count_within_many(q, radii)
+        expected = brute(vspace, radii)
         got = ShardedWalkExecutor(
             tree, workers=3, backend="thread", shard_by="tree"
         ).count_within_many(q, radii)
@@ -345,14 +346,14 @@ class TestLeafParentDistances:
         counts = level_count_walk(sspace, q, radii, flat, stats=stats)
         assert stats["leaf_entries_filtered"] > 0
         assert stats["leaf_entries_filtered"] < stats["leaf_entries_total"]
-        assert np.array_equal(counts, frontier_count_walk(sspace, q, radii, flat))
+        assert np.array_equal(counts, brute(sspace, radii))
 
     def test_euclidean_rect_kernel_filters_pairs(self, vspace):
         """Euclidean vector spaces route single-rung leaf entries
         through the float32 rect kernel: most pairs decide against the
         margin-bracketed squared radius without an exact float64
-        evaluation, and the counts stay bit-identical to the stack
-        walk (the assertion above every bench run pins this too)."""
+        evaluation, and the counts stay bit-identical to brute
+        force."""
         radii = boundary_radii(vspace)
         q = np.arange(len(vspace))
         flat = MTree(vspace, capacity=4).flat
@@ -361,7 +362,7 @@ class TestLeafParentDistances:
         assert stats["leaf_entries_total"] > 0
         assert stats["leaf_entries_filtered"] > 0
         assert stats["leaf_entries_filtered"] <= stats["leaf_entries_total"]
-        assert np.array_equal(counts, frontier_count_walk(vspace, q, radii, flat))
+        assert np.array_equal(counts, brute(vspace, radii))
 
     def test_validation_rejects_misshapen_d_elem(self, vspace):
         from repro.index.base import FlatTree

@@ -27,8 +27,11 @@ import pytest
 
 from repro.api import make_estimator
 from repro.cli import main
+from repro import McCatch
+from repro.core.radii import define_radii
+from repro.engine import BatchQueryEngine
 from repro.index import build_index
-from repro.index.base import count_walk
+from repro.index.base import UNKNOWN_COUNT, count_walk
 from repro.metric.base import MetricSpace
 from repro.obs import (
     MetricsRegistry,
@@ -301,6 +304,31 @@ class TestProcessSinks:
         assert walk.get("walks") > 0
         assert engine.get("count_calls") > 0
         assert engine.get("count_queries") >= len(dataset)
+
+    @pytest.mark.parametrize("kwargs", [
+        {},  # Euclidean "auto": scipy's cKDTree, one count call per rung
+        {"index": "vptree"},  # flat tree: multi-radius walks
+        {"index": "vptree", "engine_mode": "per_point"},
+    ])
+    def test_every_fit_reports_the_cells_it_computed(self, sinks, dataset, kwargs):
+        _, engine = sinks
+        result = McCatch(**kwargs).fit(dataset)
+        joined = result.oracle.counts[:, :-1]  # the top rung is never joined
+        known = int(np.count_nonzero(joined != UNKNOWN_COUNT))
+        assert engine.get("count_calls") > 0
+        assert engine.get("count_queries") >= len(dataset)
+        assert engine.get("count_entries") >= known
+
+    def test_per_rung_counts_tally_each_computed_cell(self, sinks, dataset):
+        """The per-rung plan bumps once per count call, so a SELFJOINC
+        over cKDTree reports exactly the cells it computed."""
+        _, engine = sinks
+        index = build_index(MetricSpace(dataset), kind="ckdtree")
+        radii = define_radii(index, 8)
+        counts = BatchQueryEngine(index).self_join_counts(radii, max_cardinality=15)
+        known = int(np.count_nonzero(counts[:, :-1] != UNKNOWN_COUNT))
+        assert engine.get("count_entries") == known
+        assert 0 < engine.get("count_calls") <= radii.size - 1
 
     def test_bound_registry_reads_the_sinks(self, sinks, walk_setup):
         walk, _ = sinks

@@ -2,7 +2,7 @@
 
 The parallel layer's contract is exactness: for any shard count,
 worker count, and backend, the stacked per-shard count matrices must
-be bit-identical to one serial :func:`frontier_count_walk` — on
+be bit-identical to one serial walk — on
 vector, string, and tree data, including the regression class the
 flat-tree tests pin (radius 0 with duplicates, radii tying exact
 pairwise distances).  Process workers must *attach* to a published
@@ -247,11 +247,6 @@ class TestEngineParallelMode:
             engine.self_join_counts(radii),
             BatchQueryEngine(brute, mode="batched").self_join_counts(radii),
         )
-
-    def test_supports_sharding_does_not_trigger_freeze(self, vspace):
-        tree = MTree(vspace, capacity=4, build="insert")
-        assert supports_sharding(tree)
-        assert tree._flat is None  # asking the question froze nothing
 
 
 class TestMcCatchParallel:

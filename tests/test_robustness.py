@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import McCatch, MetricSpace, StreamingMcCatch, detect_microclusters
-from repro.index import build_index
+from repro.index import available_index_kinds, build_index
 from repro.metric.strings import levenshtein
 
 
@@ -97,6 +97,28 @@ class TestInvalidInputs:
     def test_unknown_index_kind(self):
         with pytest.raises(ValueError, match="unknown index kind"):
             McCatch(index="quadtree").fit(np.zeros((5, 2)) + np.arange(5)[:, None])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", available_index_kinds())
+class TestNonFiniteInput:
+    """One NaN or inf entry fails at the boundary with one message, for
+    every index kind — never deep in the plateau search, never as a
+    silently all-zero verdict."""
+
+    def test_fit_rejects(self, kind, bad):
+        X = np.random.default_rng(0).normal(size=(60, 2))
+        X[7, 1] = bad
+        with pytest.raises(ValueError, match="X contains NaN or infinite values"):
+            McCatch(index=kind).fit(X)
+        with pytest.raises(ValueError, match="X contains NaN or infinite values"):
+            McCatch(index=kind).fit_model(X)
+
+    def test_score_batch_rejects(self, kind, bad):
+        X = np.random.default_rng(0).normal(size=(60, 2))
+        model = McCatch(index=kind).fit_model(X)
+        with pytest.raises(ValueError, match="batch contains NaN or infinite values"):
+            model.score_batch([[bad, 0.0]])
 
 
 class TestMisbehavingMetrics:
