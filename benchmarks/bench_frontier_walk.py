@@ -12,9 +12,9 @@ Alg. 2).
 Counts are asserted bit-identical across both walks, and against brute
 force on a query sample, before any time is recorded.  The dispatch
 counters ride along in the JSON (``steps`` is the tree depth walked).
-A threads-backend sharding sweep
-(:class:`repro.engine.parallel.ShardedWalkExecutor`,
-``backend="thread"``) rides along for the compiled walk, whose kernel
+A query-sharding sweep
+(:class:`repro.engine.parallel.ShardedWalkExecutor`, which shards
+vector data on threads) rides along for the compiled walk, whose kernel
 drops the GIL for the whole advance — the contrast numpy's
 fragmented-release level walk cannot match on Python-loop-heavy trees.
 
@@ -81,7 +81,7 @@ def run(sizes: list[int], repeats: int, kind: str, workers: list[int]) -> dict:
     shard_records = []
     for n in sizes:
         space = _dataset(n)
-        index = build_index(space, kind=kind, walk="level")
+        index = build_index(space, kind=kind)
         radii = define_radii(index, N_RADII)
         flat, ids = index.flat, index.ids
 
@@ -123,12 +123,10 @@ def run(sizes: list[int], repeats: int, kind: str, workers: list[int]) -> dict:
 
         if compiled_ok and n == max(sizes):
             # Sharding sweep on the largest size only: the thread pool's
-            # win is throughput at scale, not tiny-n dispatch.
+            # win is throughput at scale, not tiny-n dispatch.  The
+            # executor runs the compiled walk, since the kernel builds.
             for w in workers:
-                executor = ShardedWalkExecutor(
-                    index, workers=w, backend="thread", shard_by="query",
-                    walk="compiled",
-                )
+                executor = ShardedWalkExecutor(index, workers=w)
                 sharded = executor.count_within_many(ids, radii)
                 assert np.array_equal(sharded, expected), (
                     f"sharded compiled walk diverged at n={n}, workers={w}"
@@ -140,8 +138,7 @@ def run(sizes: list[int], repeats: int, kind: str, workers: list[int]) -> dict:
                     {
                         "n": n,
                         "workers": w,
-                        "backend": "thread",
-                        "shard_by": "query",
+                        "backend": executor.backend,
                         "walk": "compiled",
                         "wall_s": round(shard_s, 4),
                     }
@@ -211,8 +208,7 @@ def main() -> None:
     parser.add_argument("--index", default="vptree",
                         help="flat-backed index kind (default vptree)")
     parser.add_argument("--workers", type=int, nargs="*", default=None,
-                        help=f"threads-backend sharding sweep "
-                             f"(default {DEFAULT_WORKERS})")
+                        help=f"query-sharding sweep (default {DEFAULT_WORKERS})")
     args = parser.parse_args()
 
     payload = run(
@@ -250,7 +246,7 @@ def main() -> None:
                     [s["n"], s["workers"], f"{s['wall_s'] * 1000:.1f}"]
                     for s in payload["sharding"]
                 ],
-                title="Compiled walk - threads-backend query sharding",
+                title="Compiled walk - query sharding on threads",
             ),
         )
 

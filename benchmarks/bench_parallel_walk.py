@@ -56,13 +56,7 @@ def _best(f, repeats: int) -> float:
     return min(times)
 
 
-def run(
-    sizes: list[int],
-    worker_counts: list[int],
-    repeats: int,
-    kind: str,
-    backend: str = "auto",
-) -> dict:
+def run(sizes: list[int], worker_counts: list[int], repeats: int, kind: str) -> dict:
     records = []
     for n in sizes:
         space = _dataset(n)
@@ -75,9 +69,7 @@ def run(
             lambda: serial_engine.self_join_counts(radii, max_cardinality=c), repeats
         )
         for workers in worker_counts:
-            engine = BatchQueryEngine(
-                index, mode="parallel", workers=workers, backend=backend
-            )
+            engine = BatchQueryEngine(index, mode="parallel", workers=workers)
             counts = engine.self_join_counts(radii, max_cardinality=c)
             assert np.array_equal(counts, expected), (
                 f"parallel counts diverged at n={n}, workers={workers}"
@@ -102,7 +94,7 @@ def run(
         "workload": "SELFJOINC",
         "n_radii": N_RADII,
         "dataset": "uniform-2d",
-        "backend": backend,
+        "backend": "thread",  # vector data shards on threads
         "repeats": repeats,
         "machine": machine_info(),
         "records": records,
@@ -133,26 +125,12 @@ def main() -> None:
                         help="timing repeats, best-of (default 3)")
     parser.add_argument("--index", default="vptree",
                         help="flat-backed index kind (default vptree)")
-    parser.add_argument("--backend", default="auto",
-                        choices=["auto", "thread", "process"],
-                        help="worker-pool backend (default auto: threads for "
-                             "vector metrics, mmap-attached processes otherwise)")
     args = parser.parse_args()
 
     payload = run(
-        args.n or DEFAULT_SIZES,
-        args.workers or DEFAULT_WORKERS,
-        args.repeats,
-        args.index,
-        args.backend,
+        args.n or DEFAULT_SIZES, args.workers or DEFAULT_WORKERS, args.repeats, args.index
     )
-    # one JSON section per backend, so auto/thread/process curves can
-    # coexist in the artifact
-    section = (
-        "parallel_walk" if args.backend == "auto"
-        else f"parallel_walk_{args.backend}"
-    )
-    merge_into_results({section: payload})
+    merge_into_results({"parallel_walk": payload})
     rows = [
         [
             r["n"],

@@ -465,22 +465,11 @@ _MCCATCH_PARAMS = {
     "c": Param(float, 0.1, attr="max_cardinality_fraction"),
     "cmax": Param(int, None, attr="max_cardinality"),
     "index": Param(str, "auto", attr="index"),
-    # frontier-walk implementation for the flat-tree index families:
-    # "auto" (family default — the compiled C kernel when it builds,
-    # the numpy level walk otherwise), "compiled" or "level",
-    # e.g. "mccatch?index=vptree&walk=compiled".  None = the family
-    # default, so leaving it out canonicalizes away; index kinds with
-    # no selectable walk reject a pinned value loudly.
-    "walk": Param(str, None, attr="index_walk"),
     "engine": Param(str, "batched", attr="engine_mode"),
     # parallel-engine pool size; None = the usable core count.  Only
     # valid with engine=parallel (McCatch rejects the combination
     # loudly otherwise), e.g. "mccatch?engine=parallel&workers=8".
     "workers": Param(int, None),
-    # parallel-engine sharding axis: split the query set ("query",
-    # default — canonicalizes away) or disjoint subtree node ranges
-    # ("tree"), e.g. "mccatch?engine=parallel&shard_by=tree".
-    "shard_by": Param(str, "query"),
     "t": Param(float, None, attr="transformation_cost"),
     "sparse": Param(bool, True, attr="sparse_focused"),
     # fit-time L_p metric name; lives on the estimator, not the McCatch

@@ -77,21 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="hyperparameter c as a fraction of n")
     detect.add_argument("--index", default="auto",
                         help="index kind backing the joins (default auto)")
-    detect.add_argument("--walk", default=None,
-                        choices=["auto", "compiled", "level"],
-                        help="frontier-walk implementation for the flat-tree "
-                             "index families: auto (compiled C kernel when it "
-                             "builds, numpy level walk otherwise), or pin "
-                             "compiled/level; --index auto is promoted "
-                             "to vptree when a walk is requested")
     detect.add_argument("--workers", type=int, default=None, metavar="N",
                         help="shard the range-count walks across N workers "
                              "(engine_mode=parallel; needs a flat-backed "
                              "index, so --index auto is promoted to vptree)")
-    detect.add_argument("--shard-by", default="query", choices=["query", "tree"],
-                        help="parallel sharding axis: split the query set "
-                             "(default) or disjoint subtree node ranges "
-                             "(requires --workers)")
     detect.add_argument("--top", type=int, default=20, help="rows of ranking to print")
     detect.add_argument("--save-json", metavar="PATH",
                         help="archive the full result as JSON")
@@ -143,17 +132,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--index", default=None,
                      help="metric tree backing the model (default vptree; must "
                           "be flat-backed: vptree, balltree, covertree, mtree, slimtree)")
-    fit.add_argument("--walk", default=None,
-                     choices=["auto", "compiled", "level"],
-                     help="frontier-walk implementation for the flat-tree "
-                          "index families (folds walk=... into the McCatch "
-                          "spec)")
     fit.add_argument("--workers", type=int, default=None, metavar="N",
                      help="fit with the parallel engine on N workers (folds "
                           "engine=parallel&workers=N into the McCatch spec)")
-    fit.add_argument("--shard-by", default=None, choices=["query", "tree"],
-                     help="parallel sharding axis (requires --workers; folds "
-                          "shard_by=... into the McCatch spec)")
 
     score = sub.add_parser("score", help="score a held-out CSV against a saved model")
     score.add_argument("model",
@@ -293,8 +274,6 @@ def _fit(data, metric, detector: McCatch):
 
 def _cmd_detect(args) -> int:
     data, metric = _load_input(args.path, args.metric, args.delimiter)
-    if args.shard_by != "query" and args.workers is None:
-        raise SystemExit("error: --shard-by tree requires --workers")
     index = args.index
     if args.workers is not None and index == "auto":
         # "auto" on Euclidean vectors picks the compiled cKDTree, which
@@ -306,10 +285,8 @@ def _cmd_detect(args) -> int:
         max_slope=args.max_slope,
         max_cardinality_fraction=args.max_cardinality_fraction,
         index=index,
-        index_walk=args.walk,
         engine_mode="parallel" if args.workers is not None else "batched",
         workers=args.workers,
-        shard_by=args.shard_by,
     )
     t0 = time.perf_counter()
     result = _fit(data, metric, detector)
@@ -411,8 +388,6 @@ def _resolve_fit_estimator(args):
     """The estimator `repro fit` should run: --spec, or flags folded in."""
     from repro.api import make_estimator, spec_of
 
-    if args.shard_by is not None and args.workers is None and args.spec is None:
-        raise SystemExit("error: --shard-by requires --workers")
     if args.spec is not None:
         # all the deprecated flags default to None, so explicitly typed
         # default values ("--n-radii 15") still count as given
@@ -449,16 +424,6 @@ def _resolve_fit_estimator(args):
                     "error: --workers applies only to McCatch specs "
                     f"(got {estimator.spec!r})"
                 )
-            if args.shard_by is not None:
-                raise SystemExit(
-                    "error: --shard-by applies only to McCatch specs "
-                    f"(got {estimator.spec!r})"
-                )
-            if args.walk is not None:
-                raise SystemExit(
-                    "error: --walk applies only to McCatch specs "
-                    f"(got {estimator.spec!r})"
-                )
             return estimator
         raw = parse_spec(args.spec)[1]
         spec = args.spec
@@ -478,16 +443,6 @@ def _resolve_fit_estimator(args):
                 )
         elif args.metric is not None:
             spec = _spec_with(spec, "metric", args.metric)
-        if "walk" in raw:
-            if args.walk is not None:
-                raise SystemExit(
-                    "error: --walk cannot be combined with a spec that "
-                    "already pins walk=...; pick one"
-                )
-        elif args.walk is not None:
-            spec = _spec_with(spec, "walk", args.walk)
-        if args.shard_by is not None and args.workers is None:
-            raise SystemExit("error: --shard-by requires --workers")
         if args.workers is not None:
             if "workers" in raw or "engine" in raw:
                 raise SystemExit(
@@ -495,13 +450,6 @@ def _resolve_fit_estimator(args):
                     "already pins engine=/workers=...; pick one"
                 )
             spec = _spec_with(_spec_with(spec, "engine", "parallel"), "workers", args.workers)
-            if args.shard_by is not None:
-                if "shard_by" in raw:
-                    raise SystemExit(
-                        "error: --shard-by cannot be combined with a spec "
-                        "that already pins shard_by=...; pick one"
-                    )
-                spec = _spec_with(spec, "shard_by", args.shard_by)
         return make_estimator(spec)
     spec = spec_of(McCatch(
         n_radii=args.n_radii if args.n_radii is not None else 15,
@@ -511,10 +459,8 @@ def _resolve_fit_estimator(args):
             if args.max_cardinality_fraction is not None else 0.1
         ),
         index=args.index or "vptree",
-        index_walk=args.walk,
         engine_mode="parallel" if args.workers is not None else "batched",
         workers=args.workers,
-        shard_by=args.shard_by or "query",
     ))
     if args.metric is not None:
         spec = _spec_with(spec, "metric", args.metric)

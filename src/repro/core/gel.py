@@ -45,10 +45,8 @@ def spot_microclusters(
     outliers: np.ndarray,
     *,
     index_kind: str = "auto",
-    index_walk: str | None = None,
     engine_mode: str = "batched",
     workers: int | None = None,
-    shard_by: str = "query",
 ) -> list[np.ndarray]:
     """Alg. 3 lines 7-19: split A into nonsingleton and singleton mcs.
 
@@ -61,9 +59,9 @@ def spot_microclusters(
     outliers:
         The set A as dataset positions (already computed by
         :func:`repro.core.cutoff.outlier_mask`).
-    engine_mode, workers, shard_by:
-        Execution plan (and parallel-mode pool size / sharding axis)
-        for the pair join (see :class:`repro.engine.BatchQueryEngine`).
+    engine_mode, workers:
+        Execution plan (and parallel-mode pool size) for the pair join
+        (see :class:`repro.engine.BatchQueryEngine`).
 
     Returns
     -------
@@ -91,10 +89,8 @@ def spot_microclusters(
         max_end = int(ends.max())  # -1 when no first plateau anywhere in M
         e_next = min(max_end + 1, a - 1)
         threshold = float(radii[e_next])
-        tree = build_index(space, grouped, kind=index_kind, walk=index_walk)
-        edges = BatchQueryEngine(
-            tree, mode=engine_mode, workers=workers, shard_by=shard_by
-        ).pairs(threshold)
+        tree = build_index(space, grouped, kind=index_kind)
+        edges = BatchQueryEngine(tree, mode=engine_mode, workers=workers).pairs(threshold)
         clusters.extend(connected_components(grouped, edges))
 
     for i in singles:

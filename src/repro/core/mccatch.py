@@ -24,7 +24,7 @@ from repro.core.radii import define_radii
 from repro.core.result import McCatchResult
 from repro.core.scoring import point_score, score_microclusters
 from repro.engine import check_engine_mode, nearest_distances_to
-from repro.index.base import MetricIndex, check_walk_mode
+from repro.index.base import MetricIndex
 from repro.index.factory import build_index
 from repro.metric.base import MetricSpace
 from repro.metric.transformation import (
@@ -59,17 +59,6 @@ class McCatch:
     index:
         Index kind for the joins: ``"auto"`` (default), or any of
         :func:`repro.index.available_index_kinds`.
-    index_walk:
-        Frontier-walk implementation for the flat-tree index families
-        (``vptree``/``balltree``/``mtree``/``slimtree``/``covertree``):
-        ``None`` (default) leaves the family's own default (``"auto"``
-        — the compiled C kernel when it builds, the numpy level walk
-        otherwise); ``"compiled"``/``"level"`` pin it.  Counts — and
-        therefore every McCatch output — are bit-identical across
-        walks; only wall-clock differs.  An index kind without a
-        selectable walk rejects it loudly in
-        :func:`repro.index.build_index` rather than silently falling
-        back.
     engine_mode:
         Execution plan for the neighborhood workloads:
         ``"batched"`` (default; single-descent multi-radius queries via
@@ -84,13 +73,6 @@ class McCatch:
         Worker-pool size for ``engine_mode="parallel"`` (default: the
         usable core count).  Setting it with a serial engine mode is
         an error rather than a silent no-op.
-    shard_by:
-        Sharding axis for ``engine_mode="parallel"``: ``"query"``
-        (default) splits the query set across workers, ``"tree"``
-        splits disjoint subtree node ranges (see
-        :class:`repro.engine.ShardedWalkExecutor`).  Like ``workers``,
-        selecting the non-default with a serial engine mode is an
-        error rather than a silent no-op.
     transformation_cost:
         The ``t`` of Def. 7.  ``None`` (default) derives it from the
         data: dimensionality for vectors, the word formula for strings,
@@ -120,10 +102,8 @@ class McCatch:
         *,
         max_cardinality: int | None = None,
         index: str = "auto",
-        index_walk: str | None = None,
         engine_mode: str = "batched",
         workers: int | None = None,
-        shard_by: str = "query",
         transformation_cost: float | None = None,
         sparse_focused: bool = True,
     ):
@@ -138,9 +118,6 @@ class McCatch:
             max_cardinality = check_positive_int(max_cardinality, name="max_cardinality")
         self.max_cardinality = max_cardinality
         self.index = index
-        if index_walk is not None:
-            check_walk_mode(index_walk)
-        self.index_walk = index_walk
         self.engine_mode = check_engine_mode(engine_mode)
         if workers is not None:
             workers = check_positive_int(workers, name="workers")
@@ -150,18 +127,6 @@ class McCatch:
                     f"(got engine_mode={self.engine_mode!r})"
                 )
         self.workers = workers
-        from repro.engine.parallel import SHARD_MODES
-
-        if shard_by not in SHARD_MODES:
-            raise ValueError(
-                f"unknown shard_by {shard_by!r}; choose from {SHARD_MODES}"
-            )
-        if shard_by != "query" and self.engine_mode != "parallel":
-            raise ValueError(
-                "shard_by= only applies to engine_mode='parallel' "
-                f"(got engine_mode={self.engine_mode!r})"
-            )
-        self.shard_by = shard_by
         self.transformation_cost = transformation_cost
         self.sparse_focused = bool(sparse_focused)
 
@@ -206,7 +171,7 @@ class McCatch:
         t = self._resolve_transformation_cost(space)
 
         # Step I: tree + radii (Alg. 1 lines 1-3).
-        tree = build_index(space, kind=self.index, walk=self.index_walk)
+        tree = build_index(space, kind=self.index)
         if self.engine_mode == "parallel":
             from repro.engine.parallel import supports_sharding
 
@@ -241,7 +206,6 @@ class McCatch:
             sparse_focused=self.sparse_focused,
             engine_mode=self.engine_mode,
             workers=self.workers,
-            shard_by=self.shard_by,
         )
 
         # Step III: spot microclusters (Alg. 3).
@@ -250,18 +214,14 @@ class McCatch:
         outliers = np.nonzero(mask)[0]
         clusters = spot_microclusters(
             space, oracle, cutoff, outliers,
-            index_kind=self.index, index_walk=self.index_walk,
-            engine_mode=self.engine_mode,
-            workers=self.workers, shard_by=self.shard_by,
+            index_kind=self.index, engine_mode=self.engine_mode, workers=self.workers,
         )
 
         # Step IV: anomaly scores (Alg. 4).
         microclusters, point_scores = score_microclusters(
             space, clusters, oracle,
             transformation_cost=t, index_kind=self.index,
-            index_walk=self.index_walk,
             engine_mode=self.engine_mode, workers=self.workers,
-            shard_by=self.shard_by,
         )
         result = McCatchResult(
             microclusters=microclusters,

@@ -24,7 +24,6 @@ def build_oracle_plot(
     sparse_focused: bool = True,
     engine_mode: str = "batched",
     workers: int | None = None,
-    shard_by: str = "query",
 ) -> OraclePlot:
     """Alg. 2: count neighbors, find plateaus, mount the 'Oracle' plot.
 
@@ -47,13 +46,8 @@ def build_oracle_plot(
     workers:
         Worker-pool size for ``engine_mode="parallel"`` (default: the
         usable core count); ignored by the serial modes.
-    shard_by:
-        Parallel-mode sharding axis, ``"query"`` (default) or
-        ``"tree"``; ignored by the serial modes.
     """
-    engine = BatchQueryEngine(
-        index, mode=engine_mode, workers=workers, shard_by=shard_by
-    )
+    engine = BatchQueryEngine(index, mode=engine_mode, workers=workers)
     counts = engine.self_join_counts(
         radii,
         max_cardinality=max_cardinality,

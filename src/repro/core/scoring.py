@@ -26,10 +26,8 @@ def nearest_inlier_distances(
     oracle: OraclePlot,
     *,
     index_kind: str = "auto",
-    index_walk: str | None = None,
     engine_mode: str = "batched",
     workers: int | None = None,
-    shard_by: str = "query",
 ) -> np.ndarray:
     """Per-point distance g_i to the nearest inlier (Alg. 4 lines 1-15).
 
@@ -56,10 +54,8 @@ def nearest_inlier_distances(
         g[outliers] = radii[-1]
         return g
 
-    inlier_tree = build_index(space, inlier_ids, kind=index_kind, walk=index_walk)
-    engine = BatchQueryEngine(
-        inlier_tree, mode=engine_mode, workers=workers, shard_by=shard_by
-    )
+    inlier_tree = build_index(space, inlier_ids, kind=index_kind)
+    engine = BatchQueryEngine(inlier_tree, mode=engine_mode, workers=workers)
     first = engine.first_nonempty_radius(outliers, radii)
     g[outliers] = radii[-1]  # default: no inlier neighbor within l
     # First radius with an inlier neighbor: g is one rung below.
@@ -117,10 +113,8 @@ def score_microclusters(
     *,
     transformation_cost: float,
     index_kind: str = "auto",
-    index_walk: str | None = None,
     engine_mode: str = "batched",
     workers: int | None = None,
-    shard_by: str = "query",
 ) -> tuple[list[Microcluster], np.ndarray]:
     """Alg. 4: scores per microcluster (ranked) and per point.
 
@@ -143,9 +137,7 @@ def score_microclusters(
     )
     g = nearest_inlier_distances(
         space, outliers, oracle,
-        index_kind=index_kind, index_walk=index_walk,
-        engine_mode=engine_mode, workers=workers,
-        shard_by=shard_by,
+        index_kind=index_kind, engine_mode=engine_mode, workers=workers,
     )
 
     microclusters: list[Microcluster] = []

@@ -13,12 +13,10 @@ historical one-query-at-a-time plan bit for bit — the differential
 tests in ``tests/test_engine.py`` hold the two to exact equality.
 
 ``mode="parallel"`` layers :mod:`repro.engine.parallel` on top: the
-multi-radius walks shard across a persistent worker pool — threads
-over the shared flat arrays for vector metrics, mmap-attached
-processes for object metrics — with counts still bit-identical.  The
-work can be split along either axis: the query set
-(``shard_by="query"``) or disjoint subtree node ranges
-(``shard_by="tree"``).
+query set of every multi-radius walk shards across a persistent worker
+pool, with counts still bit-identical.  The pool follows the data —
+threads over the shared flat arrays for vector metrics, mmap-attached
+processes for object metrics — and ``workers`` is the only setting.
 """
 
 from repro.engine.executor import (
@@ -28,7 +26,6 @@ from repro.engine.executor import (
     check_engine_mode,
 )
 from repro.engine.parallel import (
-    SHARD_MODES,
     ShardedWalkExecutor,
     default_workers,
     supports_sharding,
@@ -43,7 +40,6 @@ from repro.engine.neighbors import (
 __all__ = [
     "BatchQueryEngine",
     "ENGINE_MODES",
-    "SHARD_MODES",
     "ShardedWalkExecutor",
     "UNKNOWN_COUNT",
     "check_engine_mode",

@@ -33,12 +33,12 @@ Two execution modes, selected at construction:
   sharded across a persistent worker pool
   (:class:`repro.engine.parallel.ShardedWalkExecutor`): the query-id
   set splits into contiguous shards, every worker walks its shards
-  over the *same* flat arrays (threads share them in place; process
-  workers attach to an mmap artifact), and the per-shard count
-  matrices stack back in shard order.  Counts are bit-identical to
-  ``"batched"`` for any worker count.  Requires a flat-backed index;
-  anything else (scipy's cKDTree, brute force) falls back to the
-  serial batched plan.
+  over the *same* flat arrays (threads share them in place for vector
+  data; for object metrics, process workers attach to an mmap
+  artifact), and the per-shard count matrices stack back in shard
+  order.  Counts are bit-identical to ``"batched"`` for any worker
+  count.  Requires a flat-backed index; anything else (scipy's
+  cKDTree, brute force) falls back to the serial batched plan.
 """
 
 from __future__ import annotations
@@ -47,13 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.index.base import (
-    UNKNOWN_COUNT,
-    MetricIndex,
-    check_radii_ascending,
-    check_walk_mode,
-    count_walk,
-)
+from repro.index.base import UNKNOWN_COUNT, MetricIndex, check_radii_ascending
 from repro.obs import hooks as _obs_hooks
 
 #: Execution modes understood by :class:`BatchQueryEngine`.
@@ -95,19 +89,11 @@ class BatchQueryEngine:
         ``"batched"`` (default), ``"per_point"``, or ``"parallel"`` —
         see module docstring.  All modes produce identical results;
         only the execution plan differs.
-    workers, shards, backend, shard_by:
-        Worker-pool size, shard count, pool backend, and sharding axis
-        (``"query"`` or ``"tree"``) for ``mode="parallel"`` (defaults:
-        the usable core count, a few shards per worker,
-        thread-vs-process by metric type, and query sharding — see
-        :class:`~repro.engine.parallel.ShardedWalkExecutor`).
-        Ignored by the serial modes.
-    walk:
-        Frontier-walk override (``"level"`` / ``"compiled"`` /
-        ``"auto"``) for every count the engine issues.
-        ``None`` (default) defers to the index's own ``walk``
-        attribute.  Requires flat-tree storage — any other index kind
-        has no selectable walk and rejects the override loudly.
+    workers:
+        Worker-pool size for ``mode="parallel"`` (default: the usable
+        core count — see
+        :class:`~repro.engine.parallel.ShardedWalkExecutor`).  Ignored
+        by the serial modes.
     """
 
     def __init__(
@@ -116,23 +102,10 @@ class BatchQueryEngine:
         *,
         mode: str = "batched",
         workers: int | None = None,
-        shards: int | None = None,
-        backend: str = "auto",
-        shard_by: str = "query",
-        walk: str | None = None,
     ):
         self.index = index
         self.mode = check_engine_mode(mode)
         self.workers = workers
-        self.walk = None if walk is None else check_walk_mode(walk)
-        if self.walk is not None:
-            from repro.engine.parallel import supports_sharding
-
-            if not supports_sharding(index):
-                raise ValueError(
-                    f"walk={walk!r} needs flat-tree storage; "
-                    f"{type(index).__name__} has no selectable frontier walk"
-                )
         self._sharded = None
         if self.mode == "parallel":
             from repro.engine.parallel import ShardedWalkExecutor, supports_sharding
@@ -142,10 +115,7 @@ class BatchQueryEngine:
             # best this engine can do, so fall back to it rather than
             # failing a workload that would still run correctly.
             if supports_sharding(index):
-                self._sharded = ShardedWalkExecutor(
-                    index, workers=workers, shards=shards, backend=backend,
-                    shard_by=shard_by, walk=walk,
-                )
+                self._sharded = ShardedWalkExecutor(index, workers=workers)
         # Flat-backed trees (anything carrying a FlatTree, including a
         # loaded FrozenIndex) override count_within_many with one
         # multi-radius walk over their arrays, so the batched schedule
@@ -188,31 +158,14 @@ class BatchQueryEngine:
             return np.asarray(
                 self._sharded.count_within_many(query_ids, radii), dtype=np.int64
             )
-        if self.walk is not None:
-            return np.asarray(
-                count_walk(
-                    self.index.space, query_ids, radii, self.index.flat,
-                    walk=self.walk,
-                ),
-                dtype=np.int64,
-            )
         return np.asarray(
             self.index.count_within_many(query_ids, radii), dtype=np.int64
         )
 
     def _count_single(self, query_ids, radius: float) -> np.ndarray:
-        """One-radius counts, honoring the engine's walk override."""
+        """One-radius counts through the index."""
         _record_count(np.size(query_ids), 1)
-        if self.walk is None:
-            return self.index.count_within(query_ids, float(radius))
-        counts = count_walk(
-            self.index.space,
-            np.asarray(query_ids, dtype=np.intp),
-            np.array([float(radius)]),
-            self.index.flat,
-            walk=self.walk,
-        )
-        return counts[:, 0].astype(np.intp)
+        return self.index.count_within(query_ids, float(radius))
 
     # -- SELFJOINC (Alg. 2) ------------------------------------------------
 

@@ -26,12 +26,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.index.base import (
-    DEFAULT_WALK,
     FlatQueryMixin,
     FlatTree,
     MetricIndex,
     attach_leaf_distances,
-    check_walk_mode,
     concat_ranges,
 )
 from repro.metric.base import MetricSpace
@@ -55,14 +53,11 @@ class BallTree(FlatQueryMixin, MetricIndex):
         whole slice (the pivot lands on one side of the split).
     """
 
-    def __init__(
-        self, space: MetricSpace, ids=None, *, leaf_size: int = 16, walk: str = DEFAULT_WALK
-    ):
+    def __init__(self, space: MetricSpace, ids=None, *, leaf_size: int = 16):
         super().__init__(space, ids)
         if leaf_size < 1:
             raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
         self.leaf_size = leaf_size
-        self.walk = check_walk_mode(walk)
         self.flat = attach_leaf_distances(space, self._build_flat())
 
     # -- construction ----------------------------------------------------

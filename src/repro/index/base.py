@@ -25,13 +25,14 @@ plus one permutation of element ids) instead of a graph of Python node
 objects.  Every family builds it directly with level-synchronous
 vectorized construction (the VP- and ball trees in their modules, the
 cover, M- and Slim-trees in :mod:`repro.index.bulk`).  One walk answers
-multi-radius count queries over the flat arrays: the level-synchronous
-:func:`level_count_walk` — the whole frontier of one depth becomes flat
-``(node, query, lo, hi)`` arrays, so each level costs one grouped
-distance computation, a few batched ``searchsorted`` calls and bincount
-scatters, O(depth) NumPy dispatches in all — or its compiled twin in
-:mod:`repro.index.ckernel`, which produces bit-identical counts and is
-the default wherever a C compiler is available.  Because the layout is
+multi-radius count queries over the flat arrays, and :func:`count_walk`
+picks its implementation from the environment alone: the compiled
+kernel of :mod:`repro.index.ckernel` when it builds, else the
+level-synchronous :func:`level_count_walk` — the whole frontier of one
+depth becomes flat ``(node, query, lo, hi)`` arrays, so each level
+costs one grouped distance computation, a few batched ``searchsorted``
+calls and bincount scatters, O(depth) NumPy dispatches in all.  Both
+produce bit-identical counts.  Because the layout is
 a handful of primitive NumPy arrays, any fitted index can be persisted
 to a single ``.npz`` (:mod:`repro.io.indexes`) and served without
 rebuilding.
@@ -145,23 +146,19 @@ class MetricIndex(ABC):
                 pairs.extend(zip(lo.tolist(), hi.tolist()))
         return pairs
 
-    def sharded(self, *, workers: int | None = None, shards: int | None = None,
-                backend: str = "auto", shard_by: str = "query"):
+    def sharded(self, *, workers: int | None = None):
         """A multi-worker executor over this index (flat-backed only).
 
         The ``workers=`` path of the index layer: returns a
         :class:`repro.engine.parallel.ShardedWalkExecutor` whose
         ``count_within`` / ``count_within_many`` shard the query set
-        (``shard_by="query"``) or disjoint subtree node ranges
-        (``shard_by="tree"``) across a persistent worker pool with
-        bit-identical counts.  Raises ``TypeError`` for indexes without
-        :class:`FlatTree` storage (brute force, kd-/R-trees, LAESA).
+        across a persistent worker pool with bit-identical counts.
+        Raises ``TypeError`` for indexes without :class:`FlatTree`
+        storage (brute force, kd-/R-trees, LAESA).
         """
         from repro.engine.parallel import ShardedWalkExecutor
 
-        return ShardedWalkExecutor(
-            self, workers=workers, shards=shards, backend=backend, shard_by=shard_by
-        )
+        return ShardedWalkExecutor(self, workers=workers)
 
     def diameter_estimate(self) -> float:
         """Estimated diameter of the indexed elements (Alg. 1 line 2).
@@ -376,9 +373,7 @@ class WalkFrontier(NamedTuple):
     ``[lo[k], hi[k])`` undecided.  ``dpar`` carries the distance from
     each entry's query to the node's *parent* center (the M-tree
     parent-distance filter input) — ``None`` whenever the tree stores
-    no ``d_parent`` or the entries are roots.  The tuple is plain
-    picklable data, so a frontier can be shipped to a worker process
-    and resumed there (``shard_by="tree"``).
+    no ``d_parent`` or the entries are roots.
     """
 
     nodes: np.ndarray
@@ -1065,7 +1060,6 @@ def level_count_walk(
     radii: np.ndarray,
     tree: FlatTree,
     *,
-    frontier: WalkFrontier | None = None,
     stats: dict | None = None,
 ) -> np.ndarray:
     """Level-synchronous multi-radius range counting over a :class:`FlatTree`.
@@ -1081,11 +1075,7 @@ def level_count_walk(
     (:mod:`repro.index.ckernel`) is unavailable, and the reference that
     kernel mirrors.
 
-    ``frontier`` resumes the walk from a saved :class:`WalkFrontier`
-    (the ``shard_by="tree"`` executor opens the top of the tree once,
-    splits the frontier into disjoint node ranges and hands each worker
-    one piece); counts accumulated before the split must be added by
-    the caller.  ``stats``, when a dict, accumulates the dispatch
+    ``stats``, when a dict, accumulates the dispatch
     counters of :data:`_WALK_STAT_KEYS`: ``steps`` (level steps),
     ``entries`` (frontier pairs processed) and the NumPy-call counts
     ``distance_calls`` / ``searchsorted_calls`` / ``scatter_calls``.
@@ -1096,8 +1086,7 @@ def level_count_walk(
     nq, a = query_ids.size, radii.size
     query_ids = _identity_or_ids(query_ids)
     diff = np.zeros(nq * (a + 1), dtype=np.float64)
-    fr = _root_frontier(nq, a) if frontier is None else frontier
-    work = [fr]
+    work = [_root_frontier(nq, a)]
     while work:
         fr = work.pop()
         if fr.nodes.size > _LEVEL_CHUNK:
@@ -1119,73 +1108,6 @@ def level_count_walk(
         if fr.nodes.size:
             work.append(fr)
     return _finish_counts(diff, nq, a)
-
-
-def open_tree_frontier(
-    space: MetricSpace,
-    query_ids: np.ndarray,
-    radii: np.ndarray,
-    tree: FlatTree,
-    *,
-    min_nodes: int,
-    stats: dict | None = None,
-) -> tuple[np.ndarray, WalkFrontier]:
-    """Walk the top of the tree until the frontier spans ``min_nodes``.
-
-    Runs level steps until at least ``min_nodes`` distinct nodes are on
-    the frontier (or the walk finishes), and returns the counts
-    accumulated so far — a full ``(nq, len(radii))`` matrix — together
-    with the remaining :class:`WalkFrontier`.  Splitting that frontier
-    (:func:`split_frontier`) and summing per-piece
-    :func:`level_count_walk` results onto the partial counts
-    reproduces the serial walk exactly: scatters are integer adds and
-    the final cumsum is linear, so any partition of the work sums to
-    the same matrix.
-    """
-    if stats is not None:
-        for key in _WALK_STAT_KEYS:
-            stats.setdefault(key, 0)
-    nq, a = query_ids.size, radii.size
-    query_ids = _identity_or_ids(query_ids)
-    diff = np.zeros(nq * (a + 1), dtype=np.float64)
-    fr = _root_frontier(nq, a)
-    while fr.nodes.size and np.unique(fr.nodes).size < min_nodes:
-        fr = _level_step(space, query_ids, radii, tree, diff, fr, stats)
-    return _finish_counts(diff, nq, a), fr
-
-
-def split_frontier(frontier: WalkFrontier, shards: int) -> list[WalkFrontier]:
-    """Split a frontier into at most ``shards`` disjoint node-range pieces.
-
-    The distinct node ids on the frontier are cut into contiguous
-    groups of near-equal count; every frontier entry follows its node.
-    Because a node's subtree occupies a contiguous node-index range
-    (CSR layout), workers resuming different pieces touch disjoint
-    regions of the tree arrays.  Empty pieces are dropped, so fewer
-    than ``shards`` frontiers may come back.
-    """
-    if frontier.nodes.size == 0:
-        return []
-    uniq = np.unique(frontier.nodes)
-    k = max(1, min(int(shards), uniq.size))
-    groups = [g for g in np.array_split(uniq, k) if g.size]
-    uppers = np.array([g[-1] for g in groups])
-    gid = np.searchsorted(uppers, frontier.nodes)
-    out = []
-    for g in range(len(groups)):
-        m = gid == g
-        if not m.any():
-            continue
-        out.append(
-            WalkFrontier(
-                nodes=frontier.nodes[m],
-                pos=frontier.pos[m],
-                lo=frontier.lo[m],
-                hi=frontier.hi[m],
-                dpar=None if frontier.dpar is None else frontier.dpar[m],
-            )
-        )
-    return out
 
 
 def attach_leaf_distances(space: MetricSpace, tree: FlatTree) -> FlatTree:
@@ -1215,56 +1137,21 @@ def attach_leaf_distances(space: MetricSpace, tree: FlatTree) -> FlatTree:
     return tree
 
 
-#: Walk implementations selectable on every flat-backed index: the
-#: level-synchronous numpy walk and the C/ctypes kernel walk
-#: (:mod:`repro.index.ckernel`) — bit-identical.
-WALK_MODES = ("level", "compiled")
-
-#: The default on every flat-backed index: resolve at query time to
-#: ``"compiled"`` when the C kernel builds, ``"level"`` otherwise.
-#: Kept symbolic (not resolved at construction) so persisted indexes
-#: stay environment-independent.
-DEFAULT_WALK = "auto"
-
-
-def check_walk_mode(walk: str) -> str:
-    """Validate a walk-mode string (:data:`WALK_MODES` or ``"auto"``)."""
-    if walk != DEFAULT_WALK and walk not in WALK_MODES:
-        raise ValueError(
-            f"unknown walk {walk!r}; choose from {WALK_MODES + (DEFAULT_WALK,)}"
-        )
-    return walk
-
-
-def resolve_walk(walk: str = DEFAULT_WALK) -> str:
-    """Resolve ``"auto"`` to a concrete walk for this environment:
-    ``"compiled"`` when the C kernel is available, else ``"level"``."""
-    if check_walk_mode(walk) != DEFAULT_WALK:
-        return walk
-    from repro.index.ckernel import kernel_available
-
-    return "compiled" if kernel_available() else "level"
-
-
 def count_walk(
     space: MetricSpace,
     query_ids: np.ndarray,
     radii: np.ndarray,
     tree: FlatTree,
     *,
-    walk: str = DEFAULT_WALK,
-    frontier: "WalkFrontier | None" = None,
     stats: dict | None = None,
 ) -> np.ndarray:
-    """Dispatch a multi-radius count to the selected walk implementation.
+    """Multi-radius range counts over ``tree``: the one walk entry point.
 
-    ``walk="auto"`` (the default) resolves to the compiled kernel when
-    it is available and the numpy level walk otherwise.  An *explicit*
-    ``walk="compiled"`` that cannot run (no compiler, or
-    ``REPRO_NO_CKERNEL=1``) falls back to the level walk with one loud
-    :class:`RuntimeWarning` — counts are bit-identical either way.
-    ``frontier`` resumes a saved :class:`WalkFrontier` (tree-axis
-    sharding).
+    Runs the compiled kernel (:mod:`repro.index.ckernel`) when it builds
+    here and the numpy :func:`level_count_walk` otherwise (no compiler,
+    or ``REPRO_NO_CKERNEL=1``); counts are bit-identical either way, and
+    :func:`repro.index.ckernel.kernel_info` records why the kernel is
+    unavailable.
 
     When process telemetry is enabled (:mod:`repro.obs.hooks`), the
     walk's stats counters and wall time merge into the process-wide
@@ -1274,79 +1161,49 @@ def count_walk(
     """
     sink = _obs_hooks.WALK
     if sink is None:
-        return _count_walk_dispatch(
-            space, query_ids, radii, tree, walk=walk, frontier=frontier, stats=stats
-        )
+        return _run_walk(space, query_ids, radii, tree, stats)
     local = stats if stats is not None else {}
-    # Callers may accumulate one stats dict across sharded resumes, so
-    # merge only this call's delta into the process sink.
+    # Callers may reuse one stats dict across calls, so merge only this
+    # call's delta into the process sink.
     before = dict(local)
     started = time.perf_counter()
-    out = _count_walk_dispatch(
-        space, query_ids, radii, tree, walk=walk, frontier=frontier, stats=local
-    )
+    out = _run_walk(space, query_ids, radii, tree, local)
     elapsed = time.perf_counter() - started
     delta = {k: v - before.get(k, 0) for k, v in local.items()}
     sink.merge(delta, walks=1, seconds=elapsed)
     return out
 
 
-def _count_walk_dispatch(
-    space: MetricSpace,
-    query_ids: np.ndarray,
-    radii: np.ndarray,
-    tree: FlatTree,
-    *,
-    walk: str,
-    frontier: "WalkFrontier | None",
-    stats: dict | None,
-) -> np.ndarray:
-    """The walk selection of :func:`count_walk`, telemetry-free."""
-    walk = resolve_walk(walk)
-    if walk == "compiled":
-        from repro.index.ckernel import (
-            compiled_count_walk,
-            kernel_available,
-            warn_fallback,
-        )
+def _run_walk(space, query_ids, radii, tree, stats):
+    """The walk choice of :func:`count_walk`, telemetry-free."""
+    from repro.index.ckernel import compiled_count_walk, kernel_available
 
-        if kernel_available():
-            return compiled_count_walk(
-                space, query_ids, radii, tree, frontier=frontier, stats=stats
-            )
-        warn_fallback()
-    return level_count_walk(
-        space, query_ids, radii, tree, frontier=frontier, stats=stats
-    )
+    if kernel_available():
+        return compiled_count_walk(space, query_ids, radii, tree, stats=stats)
+    return level_count_walk(space, query_ids, radii, tree, stats=stats)
 
 
 class FlatQueryMixin:
-    """Count queries answered by a flat walk over ``self.flat``.
+    """Count queries answered by :func:`count_walk` over ``self.flat``.
 
     Mixed into every flat-backed index; requires ``self.space`` and a
-    ``self.flat`` :class:`FlatTree`.  ``self.walk`` selects the
-    implementation (see :func:`count_walk`); every choice returns
-    bit-identical counts.
+    ``self.flat`` :class:`FlatTree`.
     """
 
     space: MetricSpace
     flat: FlatTree
-    walk: str = DEFAULT_WALK
 
     def count_within(self, query_ids: Sequence[int] | np.ndarray, radius: float) -> np.ndarray:
         """Per-query neighbor counts (see :class:`MetricIndex`)."""
         query_ids = np.asarray(query_ids, dtype=np.intp)
-        counts = count_walk(
-            self.space, query_ids, np.array([float(radius)]), self.flat,
-            walk=self.walk,
-        )
+        counts = count_walk(self.space, query_ids, np.array([float(radius)]), self.flat)
         return counts[:, 0].astype(np.intp)
 
     def count_within_many(self, query_ids, radii) -> np.ndarray:
         """All radii for all queries in one walk over the flat arrays."""
         query_ids = np.asarray(query_ids, dtype=np.intp)
         radii = check_radii_ascending(radii)
-        return count_walk(self.space, query_ids, radii, self.flat, walk=self.walk)
+        return count_walk(self.space, query_ids, radii, self.flat)
 
 
 class FrozenIndex(FlatQueryMixin, MetricIndex):
@@ -1367,13 +1224,11 @@ class FrozenIndex(FlatQueryMixin, MetricIndex):
         *,
         kind: str = "frozen",
         diameter: float | None = None,
-        walk: str = DEFAULT_WALK,
     ):
         super().__init__(space, ids)
         self.flat = flat
         self.kind = str(kind)
         self._diameter = None if diameter is None else float(diameter)
-        self.walk = check_walk_mode(walk)
 
     def diameter_estimate(self) -> float:
         """The diameter recorded at save time (two-scan fallback without one)."""

@@ -2,7 +2,8 @@
 
 Public surface:
 
-- :func:`kernel_available` — can ``walk="compiled"`` actually run here?
+- :func:`kernel_available` — does :func:`~repro.index.base.count_walk`
+  run the compiled walk here?
 - :func:`compiled_count_walk` — the drop-in for ``level_count_walk``.
 - :func:`kernel_info` — diagnostics (cache key, compiler, build error),
   recorded into saved-model metadata by :mod:`repro.io`.
@@ -25,7 +26,6 @@ from repro.index.ckernel.loader import (
     kernel_disabled,
     kernel_info,
     reset,
-    warn_fallback,
 )
 from repro.index.ckernel.walk import compiled_count_walk
 
@@ -45,5 +45,4 @@ __all__ = [
     "kernel_disabled",
     "kernel_info",
     "reset",
-    "warn_fallback",
 ]

@@ -10,10 +10,11 @@ concurrency-safe: the object is compiled to a ``mkstemp`` temporary in
 the cache directory and published with an atomic ``os.replace``, so two
 processes racing the first build both end up loading an intact library.
 
-Fallback is loud but graceful: when no compiler is found (or the build
-or load fails) the level walk's pure-numpy path takes over and a single
-warning explains why.  ``REPRO_NO_CKERNEL=1`` forces that fallback —
-the differential escape hatch CI uses to keep the numpy path honest.
+Fallback is graceful: when no compiler is found (or the build or load
+fails) the level walk's pure-numpy path takes over and
+:func:`kernel_info` records why.  ``REPRO_NO_CKERNEL=1`` forces that
+fallback — the differential escape hatch CI uses to keep the numpy path
+honest.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import shutil
 import subprocess
 import tempfile
 import threading
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,6 @@ _CANDIDATE_COMPILERS = ("cc", "gcc", "clang")
 
 _LOCK = threading.Lock()
 _STATE: dict = {"checked": False, "kernel": None, "error": None}
-_WARNED = False
 
 
 class CKernelError(RuntimeError):
@@ -271,30 +270,9 @@ def kernel_info() -> dict:
     return info
 
 
-def warn_fallback(reason: str | None = None) -> None:
-    """One loud warning when an explicit ``walk="compiled"`` request
-    has to fall back to the numpy level walk."""
-    global _WARNED
-    if _WARNED:
-        return
-    _WARNED = True
-    detail = reason or build_error() or "kernel unavailable"
-    if kernel_disabled():
-        detail = f"{ENV_DISABLE} is set"
-    warnings.warn(
-        f"walk='compiled' requested but the C kernel is unavailable "
-        f"({detail}); using the pure-numpy level walk (bit-identical, slower)",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-def reset(*, forget_warning: bool = True) -> None:
+def reset() -> None:
     """Drop the cached build outcome (test hook: forces a re-probe)."""
-    global _WARNED
     with _LOCK:
         _STATE["checked"] = False
         _STATE["kernel"] = None
         _STATE["error"] = None
-    if forget_warning:
-        _WARNED = False

@@ -62,22 +62,6 @@ def _contig(arr, dtype):
     return np.ascontiguousarray(arr, dtype=dtype)
 
 
-def _owned_frontier(fr: WalkFrontier) -> WalkFrontier:
-    """A private, contiguous copy of a caller-provided frontier.
-
-    The C parent-distance filter compacts its input arrays in place;
-    resumable frontiers handed in by the tree-sharding executor must
-    never observe that.
-    """
-    return WalkFrontier(
-        nodes=np.array(fr.nodes, dtype=np.intp),
-        pos=np.array(fr.pos, dtype=np.intp),
-        lo=np.array(fr.lo, dtype=np.intp),
-        hi=np.array(fr.hi, dtype=np.intp),
-        dpar=None if fr.dpar is None else np.array(fr.dpar, dtype=np.float64),
-    )
-
-
 class _WalkContext:
     """Per-walk bundle: kernel handle, contiguous tree arrays, fused
     coordinate columns, and the shared difference array."""
@@ -118,22 +102,20 @@ def compiled_count_walk(
     radii: np.ndarray,
     tree,
     *,
-    frontier: WalkFrontier | None = None,
     stats: dict | None = None,
 ) -> np.ndarray:
     """Multi-radius range counting through the compiled kernel.
 
     Drop-in for :func:`repro.index.base.level_count_walk` — same
-    signature, bit-identical counts, same resumable-``frontier``
-    contract.  Raises :class:`CKernelError` when the kernel is
-    unavailable; callers that want the graceful fallback go through
-    :func:`repro.index.base.count_walk`.
+    signature, bit-identical counts.  Raises :class:`CKernelError` when
+    the kernel is unavailable; callers that want the graceful fallback
+    go through :func:`repro.index.base.count_walk`.
     """
     kernel = get_kernel()
     if kernel is None:
         raise CKernelError(
             "compiled walk requested but the C kernel is unavailable; "
-            "use count_walk(walk='compiled') for the graceful fallback"
+            "count_walk falls back to the numpy level walk"
         )
     track = stats is not None
     if track:
@@ -148,8 +130,7 @@ def compiled_count_walk(
     qids = None if isinstance(ids, _IdentityIds) else _contig(ids, np.intp)
     diff = np.zeros(nq * (a + 1), dtype=np.float64)
     ctx = _WalkContext(kernel, space, tree, radii, qids, diff)
-    fr = _root_frontier(nq, a) if frontier is None else _owned_frontier(frontier)
-    work = [fr]
+    work = [_root_frontier(nq, a)]
     while work:
         fr = work.pop()
         if fr.nodes.size > _LEVEL_CHUNK:

@@ -26,12 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.index.base import (
-    DEFAULT_WALK,
-    FlatQueryMixin,
-    MetricIndex,
-    check_walk_mode,
-)
+from repro.index.base import FlatQueryMixin, MetricIndex
 from repro.index.bulk import bulk_build_covertree
 from repro.metric.base import MetricSpace
 
@@ -48,14 +43,10 @@ class CoverTree(FlatQueryMixin, MetricIndex):
     base:
         Scale base (default 2.0, the classic cover tree's); children at
         scale ``s`` are separated by more than ``base**(s-1)``.
-    walk:
-        Frontier-walk implementation (see
-        :func:`~repro.index.base.count_walk`).
     """
 
     def __init__(
-        self, space: MetricSpace, ids=None, *,
-        leaf_size: int = 16, base: float = 2.0, walk: str = DEFAULT_WALK,
+        self, space: MetricSpace, ids=None, *, leaf_size: int = 16, base: float = 2.0
     ):
         super().__init__(space, ids)
         if leaf_size < 1:
@@ -64,7 +55,6 @@ class CoverTree(FlatQueryMixin, MetricIndex):
             raise ValueError(f"base must be > 1, got {base}")
         self.leaf_size = leaf_size
         self.base = float(base)
-        self.walk = check_walk_mode(walk)
         self.flat = bulk_build_covertree(
             space, self.ids, base=self.base, leaf_size=self.leaf_size
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.index.balltree import BallTree
-from repro.index.base import MetricIndex, check_walk_mode
+from repro.index.base import MetricIndex
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.ckdtree import CKDTreeIndex
 from repro.index.covertree import CoverTree
@@ -24,11 +24,6 @@ from repro.index.vptree import VPTree
 from repro.metric.base import MetricSpace
 
 _VECTOR_ONLY = {"kdtree", "ckdtree", "rtree"}
-
-#: Families backed by a :class:`~repro.index.base.FlatTree` with a
-#: selectable frontier walk (``level`` / ``compiled`` / ``auto``);
-#: every other kind rejects ``walk=`` loudly.
-_WALK_SELECTABLE = {"vptree", "balltree", "mtree", "slimtree", "covertree"}
 
 _BUILDERS: dict[str, Callable[..., MetricIndex]] = {
     "brute": BruteForceIndex,
@@ -49,33 +44,16 @@ def available_index_kinds() -> list[str]:
     return sorted(_BUILDERS)
 
 
-def build_index(
-    space: MetricSpace, ids=None, *, kind: str = "auto", walk: str | None = None,
-    **kwargs,
-) -> MetricIndex:
+def build_index(space: MetricSpace, ids=None, *, kind: str = "auto", **kwargs) -> MetricIndex:
     """Build an index over ``space`` (optionally restricted to ``ids``).
 
     ``kind="auto"`` selects scipy's cKDTree for Euclidean vector data
     and a VP-tree otherwise.  Explicit kinds: ``brute``, ``vptree``,
     ``kdtree``, ``ckdtree``, ``mtree``, ``slimtree``, ``rtree``.
     Extra keyword arguments are forwarded to the index constructor.
-
-    ``walk`` selects the frontier-walk implementation on the flat-tree
-    families (``vptree``/``balltree``/``mtree``/``slimtree``/
-    ``covertree``): ``"auto"`` (their default — the compiled C kernel
-    when it builds, the numpy level walk otherwise), ``"compiled"`` or
-    ``"level"``.  Kinds without a flat walk reject ``walk=`` loudly —
-    never a silent fallback — and ``kind="auto"`` with a ``walk``
-    resolves to the VP-tree, since asking for a frontier walk implies
-    wanting a flat tree.
     """
     if kind == "auto":
-        if walk is not None:
-            # Requesting a frontier walk implies wanting a flat tree:
-            # "auto" resolves to the VP-tree instead of scipy's
-            # cKDTree, which has no selectable walk.
-            kind = "vptree"
-        elif space.is_vector and getattr(space.metric, "p", None) == 2.0:
+        if space.is_vector and getattr(space.metric, "p", None) == 2.0:
             kind = "ckdtree"
         else:
             kind = "vptree"
@@ -87,12 +65,4 @@ def build_index(
         ) from None
     if kind in _VECTOR_ONLY and not space.is_vector:
         raise TypeError(f"index kind {kind!r} requires vector data; use 'vptree' or 'mtree'")
-    if walk is not None:
-        check_walk_mode(walk)
-        if kind not in _WALK_SELECTABLE:
-            raise ValueError(
-                f"index kind {kind!r} has no selectable frontier walk; walk= "
-                f"applies to {sorted(_WALK_SELECTABLE)}"
-            )
-        kwargs["walk"] = walk
     return builder(space, ids, **kwargs)

@@ -18,12 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.index.base import (
-    DEFAULT_WALK,
-    FlatQueryMixin,
-    MetricIndex,
-    check_walk_mode,
-)
+from repro.index.base import FlatQueryMixin, MetricIndex
 from repro.index.bulk import bulk_build_mtree
 from repro.metric.base import MetricSpace
 
@@ -37,20 +32,13 @@ class MTree(FlatQueryMixin, MetricIndex):
         Maximum entries per node (>= 4): the routing fanout and the leaf
         bucket cap of the bulk-load (a bucket of exact duplicates may
         exceed it, since no split can separate them).
-    walk:
-        Frontier-walk implementation (see
-        :func:`~repro.index.base.count_walk`).
     """
 
-    def __init__(
-        self, space: MetricSpace, ids=None, *,
-        capacity: int = 16, walk: str = DEFAULT_WALK,
-    ):
+    def __init__(self, space: MetricSpace, ids=None, *, capacity: int = 16):
         if capacity < 4:
             raise ValueError(f"capacity must be >= 4, got {capacity}")
         super().__init__(space, ids)
         self.capacity = capacity
-        self.walk = check_walk_mode(walk)
         stats: dict = {"distance_calls": 0}
         self.flat = bulk_build_mtree(
             space, self.ids, fanout=capacity, leaf_cap=capacity, stats=stats,

@@ -11,7 +11,6 @@ shrinking covering radii — the ball overlap the Slim-tree's
 
 from __future__ import annotations
 
-from repro.index.base import DEFAULT_WALK
 from repro.index.bulk import slim_down_flat
 from repro.index.mtree import MTree
 
@@ -19,11 +18,8 @@ from repro.index.mtree import MTree
 class SlimTree(MTree):
     """Bulk-loaded M-tree plus an optional in-place slim-down."""
 
-    def __init__(
-        self, space, ids=None, *,
-        capacity: int = 16, slim_down: bool = True, walk: str = DEFAULT_WALK,
-    ):
-        super().__init__(space, ids, capacity=capacity, walk=walk)
+    def __init__(self, space, ids=None, *, capacity: int = 16, slim_down: bool = True):
+        super().__init__(space, ids, capacity=capacity)
         if slim_down:
             self.slim_down()
 

@@ -21,12 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.index.base import (
-    DEFAULT_WALK,
     FlatQueryMixin,
     FlatTree,
     MetricIndex,
     attach_leaf_distances,
-    check_walk_mode,
     concat_ranges,
 )
 from repro.metric.base import MetricSpace
@@ -57,14 +55,12 @@ class VPTree(FlatQueryMixin, MetricIndex):
     """
 
     def __init__(
-        self, space: MetricSpace, ids=None, *,
-        leaf_size: int = 16, random_state=0, walk: str = DEFAULT_WALK,
+        self, space: MetricSpace, ids=None, *, leaf_size: int = 16, random_state=0
     ):
         super().__init__(space, ids)
         if leaf_size < 1:
             raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
         self.leaf_size = leaf_size
-        self.walk = check_walk_mode(walk)
         self._rng = check_random_state(random_state)
         self.flat = attach_leaf_distances(space, self._build_flat())
 

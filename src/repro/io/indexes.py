@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.index.base import DEFAULT_WALK, FlatTree, FrozenIndex, MetricIndex
+from repro.index.base import FlatTree, FrozenIndex, MetricIndex
 from repro.metric.base import MetricSpace
 from repro.metric.vector import minkowski
 
@@ -58,12 +58,8 @@ def index_payload(index: MetricIndex, *, include_data: bool = True) -> dict:
         "kind": np.str_(getattr(index, "kind", type(index).__name__.lower())),
         "ids": index.ids,
         "diameter": np.float64(index.diameter_estimate()),
-        # Walk selection travels with the index, but "auto" stays
-        # "auto": the compiled kernel's availability is a property of
-        # the machine that *loads* the archive, not the one that saved
-        # it.  The ckernel_* fields are provenance only — what the
-        # saving environment had — never consulted at load time.
-        "walk": np.str_(getattr(index, "walk", DEFAULT_WALK)),
+        # Provenance only — what the saving environment had.  The walk
+        # is chosen by the machine that loads the archive.
         "ckernel_available": np.bool_(bool(ck["available"])),
         "ckernel_key": np.str_(ck.get("key") or ""),
         "ckernel_compiler": np.str_(ck.get("compiler") or ""),
@@ -127,8 +123,6 @@ def frozen_from_payload(payload, space: MetricSpace | None = None) -> FrozenInde
         FlatTree.from_arrays(arrays),
         kind=str(payload["kind"][()]),
         diameter=float(payload["diameter"][()]),
-        # Archives predating the walk field load with the default.
-        walk=str(payload["walk"][()]) if "walk" in payload else DEFAULT_WALK,
     )
 
 

@@ -18,6 +18,8 @@ in place.
 import numpy as np
 import pytest
 
+from test_flat_trees import walks
+
 from repro.core.mccatch import McCatch
 from repro.index import (
     BruteForceIndex,
@@ -84,8 +86,8 @@ def boundary_radii(space: MetricSpace) -> np.ndarray:
 SPACES = ["vspace", "sspace", "tspace"]
 
 
-def _make(cls, space, *, walk="auto", small=True):
-    kwargs = {"walk": walk}
+def _make(cls, space, *, small=True):
+    kwargs = {}
     if cls is CoverTree:
         kwargs["leaf_size"] = 4 if small else 16
     else:
@@ -154,9 +156,10 @@ class TestBulkMatchesInsertAndBruteForce:
         radii = boundary_radii(space)
         q = np.arange(len(space))
         expected = BruteForceIndex(space).count_within_many(q, radii)
-        for walk in ("level", "compiled"):
-            got = _make(cls, space, walk=walk).count_within_many(q, radii)
-            assert np.array_equal(got, expected), walk
+        flat = _make(cls, space).flat
+        for walk in walks():
+            got = walk(space, q, radii, flat)
+            assert np.array_equal(got, expected), walk.__name__
 
     def test_single_radius_count_within(self, cls, fixture, request):
         space = request.getfixturevalue(fixture)

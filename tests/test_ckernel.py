@@ -5,13 +5,14 @@ oracle (:class:`~repro.index.bruteforce.BruteForceIndex`) and so with
 the numpy :func:`repro.index.base.level_count_walk` it mirrors — for
 every flat tree family, on vector, string, and tree data, across the
 regression radii (negative, 0 with duplicates, ties on exact pairwise
-distances), and through every resumable-frontier split the
-tree-sharding executor can produce.  On top of that sit the loader's guarantees: the on-disk
-``.so`` cache is keyed by source + toolchain (hit on re-probe, miss on
-a source edit), a torn or foreign object under the right name is
-rebuilt once, a missing compiler degrades to the numpy walk with one
-loud warning, ``REPRO_NO_CKERNEL=1`` forces the same fallback, and two
-processes racing the first build both load an intact library.
+distances), and for any slicing of its frontiers.  ``count_walk`` runs
+it exactly when the kernel builds; no other switch exists.  On top of
+that sit the loader's guarantees: the on-disk ``.so`` cache is keyed by
+source + toolchain (hit on re-probe, miss on a source edit), a torn or
+foreign object under the right name is rebuilt once, a missing compiler
+degrades to the numpy walk with ``kernel_info`` naming the cause,
+``REPRO_NO_CKERNEL=1`` forces the same fallback, and two processes
+racing the first build both load an intact library.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ import pytest
 
 from test_flat_trees import boundary_radii, brute, hard_radii
 
+from repro import McCatch
 from repro.api import make_estimator
 from repro.engine import BatchQueryEngine, ShardedWalkExecutor
 from repro.index import (
@@ -37,21 +40,16 @@ from repro.index import (
     VPTree,
     build_index,
 )
-from repro.index.base import (
-    count_walk,
-    level_count_walk,
-    open_tree_frontier,
-    resolve_walk,
-    split_frontier,
-)
+from repro.index import ckernel
+from repro.index.base import count_walk, level_count_walk
 from repro.index.ckernel import (
     CKernelError,
     compiled_count_walk,
     kernel_available,
     kernel_info,
 )
-from repro.index.ckernel import loader
-from repro.io.indexes import index_payload, load_index, save_index
+from repro.index.ckernel import loader, walk as ckernel_walk
+from repro.io.indexes import index_payload, load_index
 from repro.metric.base import MetricSpace
 from repro.metric.strings import levenshtein
 from repro.metric.trees import LabeledTree, tree_edit_distance
@@ -165,32 +163,31 @@ class TestCompiledDifferential:
 
     @pytest.mark.parametrize("pieces", WORKER_COUNTS)
     @pytest.mark.parametrize("fixture", SPACES)
-    def test_frontier_resume_piece_invariance(self, pieces, fixture, request):
+    def test_frontier_resume_piece_invariance(self, pieces, fixture, request, monkeypatch):
+        """Frontiers sliced into pieces of at most ``pieces`` entries
+        (the walk's ``_LEVEL_CHUNK``, shrunk from 2**19), each walked to
+        completion, still sum to brute force."""
         space = request.getfixturevalue(fixture)
         radii = boundary_radii(space)
         q = np.arange(len(space))
         flat = VPTree(space).flat
-        expected = brute(space, radii)
-        partial, frontier = open_tree_frontier(space, q, radii, flat, min_nodes=pieces)
-        for piece in split_frontier(frontier, pieces):
-            partial += compiled_count_walk(space, q, radii, flat, frontier=piece)
-        assert np.array_equal(partial, expected)
+        monkeypatch.setattr(ckernel_walk, "_LEVEL_CHUNK", pieces)
+        assert np.array_equal(compiled_count_walk(space, q, radii, flat), brute(space, radii))
 
     @pytest.mark.parametrize("cls", [MTree, SlimTree])
-    def test_frontier_resume_keeps_caller_arrays(self, cls, vspace):
-        """The kernel's in-place d_parent filter must never touch a
-        caller-owned resumable frontier (the executor reuses pieces)."""
+    def test_frontier_resume_keeps_caller_arrays(self, cls, vspace, monkeypatch):
+        """The kernel compacts frontier slices in place through its
+        d_parent filter; it must never write to the caller's queries,
+        radii or tree arrays, which it also reads by pointer."""
         radii = boundary_radii(vspace)
         q = np.arange(len(vspace))
         flat = cls(vspace, capacity=4).flat
-        _, frontier = open_tree_frontier(vspace, q, radii, flat, min_nodes=3)
-        for piece in split_frontier(frontier, 3):
-            before = [None if a is None else a.copy() for a in piece]
-            compiled_count_walk(vspace, q, radii, flat, frontier=piece)
-            for kept, orig in zip(piece, before):
-                assert (kept is None) == (orig is None)
-                if kept is not None:
-                    assert np.array_equal(kept, orig)
+        before = [a.copy() for a in (q, radii, *flat.to_arrays().values())]
+        monkeypatch.setattr(ckernel_walk, "_LEVEL_CHUNK", 3)
+        counts = compiled_count_walk(vspace, q, radii, flat)
+        assert np.array_equal(counts, brute(vspace, radii))
+        for kept, orig in zip((q, radii, *flat.to_arrays().values()), before):
+            assert np.array_equal(kept, orig)
 
     def test_stats_counters_populated(self, vspace):
         radii = boundary_radii(vspace)
@@ -203,128 +200,155 @@ class TestCompiledDifferential:
                     "searchsorted_calls", "scatter_calls"):
             assert stats[key] > 0
 
-    def test_walk_attribute_selects_compiled(self, vspace):
+    def test_walk_attribute_selects_compiled(self, vspace, monkeypatch):
+        """Trees carry no walk attribute any more; their queries run the
+        compiled walk whenever the kernel builds."""
+        calls = []
+        real = ckernel.compiled_count_walk
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ckernel, "compiled_count_walk", spy)
         radii = boundary_radii(vspace)
         q = np.arange(len(vspace))
-        auto = VPTree(vspace)
-        compiled = VPTree(vspace, walk="compiled")
-        level = VPTree(vspace, walk="level")
-        assert auto.walk == "auto" and resolve_walk(auto.walk) == "compiled"
-        expected = brute(vspace, radii)
-        for tree in (auto, compiled, level):
-            assert np.array_equal(tree.count_within_many(q, radii), expected)
+        tree = VPTree(vspace)
+        assert not hasattr(tree, "walk")
+        assert np.array_equal(tree.count_within_many(q, radii), brute(vspace, radii))
+        assert np.array_equal(
+            tree.count_within(q, float(radii[3])), brute(vspace, radii[3:4])[:, 0]
+        )
+        assert len(calls) == 2
 
 
 @needs_kernel
 class TestShardedCompiled:
-    """Threaded sharding over the GIL-free kernel stays bit-identical."""
+    """Sharding over the compiled kernel stays bit-identical."""
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("shard_by", ["query", "tree"])
-    def test_thread_backend_bit_identical(self, workers, shard_by, vspace):
+    @pytest.mark.parametrize("axis", ["query"])  # the one sharding axis left
+    def test_thread_backend_bit_identical(self, workers, axis, vspace):
         radii = boundary_radii(vspace)
         q = np.arange(len(vspace))
-        tree = VPTree(vspace, walk="level")
-        expected = brute(vspace, radii)
-        got = ShardedWalkExecutor(
-            tree, workers=workers, backend="thread", shard_by=shard_by,
-            walk="compiled",
-        ).count_within_many(q, radii)
-        assert np.array_equal(got, expected)
+        ex = ShardedWalkExecutor(VPTree(vspace), workers=workers)
+        assert ex.backend == "thread"
+        assert np.array_equal(ex.count_within_many(q, radii), brute(vspace, radii))
 
     @pytest.mark.parametrize("fixture", SPACES)
     def test_every_space_two_workers(self, fixture, request):
         space = request.getfixturevalue(fixture)
         radii = boundary_radii(space)
         q = np.arange(len(space))
-        tree = VPTree(space, walk="level")
-        expected = brute(space, radii)
-        for shard_by in ("query", "tree"):
-            got = ShardedWalkExecutor(
-                tree, workers=2, backend="thread", shard_by=shard_by,
-                walk="compiled",
-            ).count_within_many(q, radii)
-            assert np.array_equal(got, expected)
+        with ShardedWalkExecutor(VPTree(space), workers=2) as ex:
+            assert np.array_equal(ex.count_within_many(q, radii), brute(space, radii))
 
     @pytest.mark.parametrize("cls", FLAT_KINDS)
     def test_every_family_through_executor(self, cls, vspace):
         radii = boundary_radii(vspace)
         q = np.arange(len(vspace))
-        tree = cls(vspace, walk="level")
-        expected = brute(vspace, radii)
-        got = ShardedWalkExecutor(
-            tree, workers=3, backend="thread", shard_by="tree", walk="compiled"
-        ).count_within_many(q, radii)
-        assert np.array_equal(got, expected)
+        got = ShardedWalkExecutor(cls(vspace), workers=3).count_within_many(q, radii)
+        assert np.array_equal(got, brute(vspace, radii))
 
-    def test_engine_walk_override_bit_identical(self, vspace):
+    def test_engine_walk_override_bit_identical(self, vspace, monkeypatch):
+        """The one walk override left is ``REPRO_NO_CKERNEL``: serial and
+        sharded engine self-joins are bit-identical under either walk."""
         radii = np.unique(boundary_radii(vspace))[1:]
-        tree = VPTree(vspace, walk="level")
+        tree = VPTree(vspace)
         c = 10
-        reference = BatchQueryEngine(tree, mode="batched").self_join_counts(
-            radii, max_cardinality=c
-        )
-        compiled = BatchQueryEngine(
-            tree, mode="batched", walk="compiled"
-        ).self_join_counts(radii, max_cardinality=c)
-        sharded = BatchQueryEngine(
-            tree, mode="parallel", workers=2, shard_by="tree", walk="compiled"
-        ).self_join_counts(radii, max_cardinality=c)
-        assert np.array_equal(compiled, reference)
-        assert np.array_equal(sharded, reference)
+
+        def self_joins():
+            return [
+                BatchQueryEngine(tree, mode=mode, workers=workers).self_join_counts(
+                    radii, max_cardinality=c
+                )
+                for mode, workers in (("per_point", None), ("batched", None), ("parallel", 2))
+            ]
+
+        compiled = self_joins()
+        monkeypatch.setenv(loader.ENV_DISABLE, "1")
+        level = self_joins()
+        for counts in compiled + level:
+            assert np.array_equal(counts, compiled[0])
 
 
 class TestWalkSelection:
-    """Dispatch, validation, and the loud-but-graceful fallback."""
+    """The kernel runs when it builds; nothing else selects a walk."""
 
-    def test_auto_resolves_to_available_walk(self):
-        resolved = resolve_walk("auto")
-        assert resolved == ("compiled" if kernel_available() else "level")
-        assert resolve_walk("level") == "level"
-        with pytest.raises(ValueError, match="unknown walk 'stack'"):
-            resolve_walk("stack")
+    def test_auto_resolves_to_available_walk(self, vspace, monkeypatch):
+        """``count_walk`` dispatches to the compiled walk exactly when
+        ``kernel_available()``, and to the level walk under
+        ``REPRO_NO_CKERNEL=1``."""
+        calls = []
+        real = ckernel.compiled_count_walk
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ckernel, "compiled_count_walk", spy)
+        q = np.arange(len(vspace))
+        radii = boundary_radii(vspace)
+        flat = VPTree(vspace).flat
+        assert np.array_equal(count_walk(vspace, q, radii, flat), brute(vspace, radii))
+        assert bool(calls) == kernel_available()
+        calls.clear()
+        monkeypatch.setenv(loader.ENV_DISABLE, "1")
+        assert np.array_equal(count_walk(vspace, q, radii, flat), brute(vspace, radii))
+        assert calls == []
 
     def test_count_walk_rejects_unknown_mode(self, vspace):
-        with pytest.raises(ValueError, match="walk"):
-            count_walk(
-                vspace, np.arange(3), np.array([1.0]), VPTree(vspace).flat,
-                walk="recursive",
-            )
-        with pytest.raises(ValueError, match="walk"):
-            VPTree(vspace, walk="recursive")
+        for walk in ("recursive", "compiled", "auto"):
+            with pytest.raises(TypeError, match="walk"):
+                count_walk(
+                    vspace, np.arange(3), np.array([1.0]), VPTree(vspace).flat,
+                    walk=walk,
+                )
+            with pytest.raises(TypeError, match="walk"):
+                VPTree(vspace, walk=walk)
 
     def test_stack_walk_rejects_frontier(self, vspace):
-        """The node-major stack walk is gone: ``walk="stack"`` is an
-        unknown walk everywhere — with or without a frontier, on a
-        tree, an engine, a spec, the CLI, or a saved archive."""
+        """Old spellings fail with the existing errors: ``walk=`` and the
+        ``frontier=`` resume are unknown keywords on every walk, tree,
+        engine and detector, and ``walk`` an unknown spec parameter."""
         flat = VPTree(vspace).flat
         q = np.arange(len(vspace))
         radii = boundary_radii(vspace)
-        _, frontier = open_tree_frontier(vspace, q, radii, flat, min_nodes=2)
-        for piece in (None, split_frontier(frontier, 2)[0]):
-            with pytest.raises(ValueError, match="unknown walk 'stack'"):
-                count_walk(vspace, q, radii, flat, walk="stack", frontier=piece)
-        with pytest.raises(ValueError, match="unknown walk 'stack'"):
+        for fn in (count_walk, level_count_walk, compiled_count_walk):
+            with pytest.raises(TypeError, match="frontier"):
+                fn(vspace, q, radii, flat, frontier=None)
+        with pytest.raises(TypeError, match="walk"):
+            count_walk(vspace, q, radii, flat, walk="stack")
+        with pytest.raises(TypeError, match="walk"):
             BatchQueryEngine(VPTree(vspace), walk="stack")
-        with pytest.raises(ValueError, match="unknown walk 'stack'"):
+        for kind in ("vptree", "mtree", "auto"):
+            with pytest.raises(TypeError, match="walk"):
+                build_index(vspace, kind=kind, walk="stack")
+        with pytest.raises(TypeError, match="index_walk"):
+            McCatch(index="vptree", index_walk="stack")
+        with pytest.raises(ValueError, match="unknown parameter 'walk'"):
             make_estimator("mccatch?index=vptree&walk=stack")
 
-    def test_stack_walk_rejected_by_cli_and_archives(self, vspace, tmp_path):
-        from repro.cli import main
+    @pytest.mark.parametrize("member", ["auto", "level", "compiled", "stack"])
+    def test_archive_walk_member_is_ignored(self, member, vspace, tmp_path):
+        """Archives from before the walk selector was deleted carry a
+        ``walk`` member; any value loads and counts like brute force.
+        New archives keep the kernel provenance but write no walk."""
+        payload = index_payload(VPTree(vspace))
+        payload["walk"] = np.str_(member)
+        path = tmp_path / f"{member}.npz"
+        np.savez(path, **payload)
+        q = np.arange(len(vspace))
+        radii = boundary_radii(vspace)
+        for mmap in (False, True):
+            loaded = load_index(path, vspace, mmap=mmap)
+            assert np.array_equal(loaded.count_within_many(q, radii), brute(vspace, radii))
+        fresh = index_payload(loaded)
+        assert "walk" not in fresh and "ckernel_available" in fresh
 
-        path = tmp_path / "data.csv"
-        np.savetxt(path, np.random.default_rng(0).normal(size=(20, 2)), delimiter=",")
-        for command in ("detect", "fit"):
-            with pytest.raises(SystemExit) as exc:
-                main([command, str(path), "--walk", "stack"])
-            assert exc.value.code == 2  # argparse: invalid choice
-        tree = VPTree(vspace)
-        tree.walk = "stack"  # an archive written when the stack walk existed
-        saved = save_index(tree, tmp_path / "stack.npz")
-        with pytest.raises(ValueError, match="unknown walk 'stack'"):
-            load_index(saved, vspace)
-
-    def test_disabled_kernel_falls_back_with_one_warning(self, vspace, monkeypatch):
+    def test_disabled_kernel_falls_back(self, vspace, monkeypatch):
+        """``REPRO_NO_CKERNEL=1``: brute-force counts through the numpy
+        walk, no warning, and ``kernel_info`` names the switch."""
         monkeypatch.setenv(loader.ENV_DISABLE, "1")
         loader.reset()
         try:
@@ -335,67 +359,43 @@ class TestWalkSelection:
             assert kernel_info()["disabled"]
             with pytest.raises(CKernelError):
                 compiled_count_walk(vspace, q, radii, flat)
-            with pytest.warns(RuntimeWarning, match="REPRO_NO_CKERNEL"):
-                counts = count_walk(vspace, q, radii, flat, walk="compiled")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                counts = count_walk(vspace, q, radii, flat)
             assert np.array_equal(counts, brute(vspace, radii))
-            # The warning fires once per process, not once per call.
-            import warnings as _warnings
-
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("error")
-                count_walk(vspace, q, radii, flat, walk="compiled")
         finally:
             monkeypatch.delenv(loader.ENV_DISABLE, raising=False)
             loader.reset()
 
     def test_engine_rejects_walk_on_non_flat_index(self, vspace):
-        with pytest.raises(ValueError, match="walk"):
-            BatchQueryEngine(BruteForceIndex(vspace), walk="compiled")
+        for index in (BruteForceIndex(vspace), VPTree(vspace)):
+            with pytest.raises(TypeError, match="walk"):
+                BatchQueryEngine(index, walk="compiled")
 
     def test_factory_rejects_walk_on_non_flat_kind(self, vspace):
-        with pytest.raises(ValueError, match="walk"):
+        with pytest.raises(TypeError, match="walk"):
             build_index(vspace, kind="ckdtree", walk="compiled")
 
-    def test_factory_auto_kind_honors_walk_request(self, vspace):
-        # auto + walk request resolves to a flat tree, not cKDTree.
-        index = build_index(vspace, kind="auto", walk="level")
-        assert hasattr(index, "flat") and index.walk == "level"
-
     def test_spec_round_trip(self):
-        estimator = make_estimator("mccatch?index=vptree&walk=compiled")
-        assert estimator.detector.index_walk == "compiled"
-        assert "walk=compiled" in estimator.spec
+        estimator = make_estimator("mccatch?index=vptree")
+        assert "walk" not in estimator.spec
         assert make_estimator(estimator.spec).spec == estimator.spec
-        # The family default (auto) canonicalizes away.
-        assert "walk" not in make_estimator("mccatch?index=vptree").spec
+        with pytest.raises(ValueError, match="unknown parameter 'walk'"):
+            make_estimator("mccatch?index=vptree&walk=compiled")
 
-    def test_cli_detect_walk_flag(self, tmp_path, capsys):
+    def test_cli_detect_walk_flag(self, tmp_path):
+        """``--walk`` is gone from ``repro detect`` and ``repro fit``."""
         from repro.cli import main
 
         rng = np.random.default_rng(0)
         X = np.vstack([rng.normal(0, 1, (80, 2)), [[9.0, 9.0]]])
         path = tmp_path / "data.csv"
         np.savetxt(path, X, delimiter=",")
-        assert main(["detect", str(path), "--index", "vptree",
-                     "--walk", "compiled"]) == 0
-        assert "microclusters" in capsys.readouterr().out
-
-    def test_persistence_keeps_walk_and_records_kernel(self, vspace, tmp_path):
-        tree = VPTree(vspace, walk="compiled")
-        payload = index_payload(tree)
-        assert str(payload["walk"]) == "compiled"
-        assert "ckernel_available" in payload
-        loaded = load_index(save_index(tree, tmp_path / "t.npz"), vspace)
-        assert loaded.walk == "compiled"
-        # "auto" survives as "auto": availability belongs to the loader.
-        auto = VPTree(vspace)
-        loaded = load_index(save_index(auto, tmp_path / "a.npz"), vspace)
-        assert loaded.walk == "auto"
-        q = np.arange(len(vspace))
-        radii = boundary_radii(vspace)
-        assert np.array_equal(
-            loaded.count_within_many(q, radii), auto.count_within_many(q, radii)
-        )
+        for command in ("detect", "fit"):
+            for value in ("compiled", "stack"):
+                with pytest.raises(SystemExit) as exc:
+                    main([command, str(path), "--index", "vptree", "--walk", value])
+                assert exc.value.code == 2  # argparse: unrecognized arguments
 
 
 @pytest.fixture
@@ -486,7 +486,7 @@ class TestLoaderCache:
             compiled_count_walk(vspace, q, radii, flat), brute(vspace, radii)
         )
 
-    def test_missing_compiler_degrades_loudly(self, fresh_cache, vspace, monkeypatch):
+    def test_missing_compiler_degrades_to_numpy_walk(self, fresh_cache, vspace, monkeypatch):
         monkeypatch.setenv("CC", "definitely-not-a-compiler")
         loader.reset()
         assert loader.find_compiler() is None
@@ -496,9 +496,7 @@ class TestLoaderCache:
         q = np.arange(len(vspace))
         radii = boundary_radii(vspace)
         flat = VPTree(vspace).flat
-        with pytest.warns(RuntimeWarning, match="compiler"):
-            counts = count_walk(vspace, q, radii, flat, walk="compiled")
-        assert np.array_equal(counts, brute(vspace, radii))
+        assert np.array_equal(count_walk(vspace, q, radii, flat), brute(vspace, radii))
 
     def test_concurrent_first_build_from_two_processes(self, fresh_cache):
         """Two processes race the first build; both must load an intact

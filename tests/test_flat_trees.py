@@ -4,10 +4,10 @@ structural invariants.
 Brute force is the one oracle: ``count_within_many`` / ``count_within``
 over :class:`~repro.index.base.FlatTree` storage must agree bit for bit
 with :class:`~repro.index.bruteforce.BruteForceIndex` for every flat
-family, under both walks (``compiled`` and ``level``), on full and
-subset indexes, sharded across workers, on vector, string, and tree
-data — including the regression class: radius 0 with duplicate points,
-radii that tie exact pairwise distances, and negative radii.
+family, under both walks (``compiled`` and ``level``, called directly),
+on full and subset indexes, sharded across workers, on vector, string,
+and tree data — including the regression class: radius 0 with duplicate
+points, radii that tie exact pairwise distances, and negative radii.
 """
 
 import numpy as np
@@ -23,13 +23,19 @@ from repro.index import (
     VPTree,
 )
 from repro.engine import ShardedWalkExecutor
-from repro.index.base import concat_ranges
+from repro.index.base import concat_ranges, level_count_walk
+from repro.index.ckernel import ENV_DISABLE, compiled_count_walk, kernel_available
 from repro.metric.base import MetricSpace
 from repro.metric.strings import levenshtein
 from repro.metric.trees import LabeledTree, tree_edit_distance
 
 FLAT_KINDS = [VPTree, BallTree, CoverTree, MTree, SlimTree]
-WALKS = ["level", "compiled"]
+
+
+def walks():
+    """The walk functions this environment can run: the numpy level walk
+    always, the compiled walk where the kernel builds."""
+    return [level_count_walk] + ([compiled_count_walk] if kernel_available() else [])
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +91,13 @@ def hard_radii(space: MetricSpace) -> np.ndarray:
     return np.sort(np.concatenate([[-1.0, -0.5], boundary_radii(space)]))
 
 
+def unpicklable(space: MetricSpace) -> MetricSpace:
+    """The same elements and distances behind a lambda, which cannot be
+    pickled — so the sharded executor runs the space on threads."""
+    metric = space.metric
+    return MetricSpace(list(space.data), lambda a, b: metric(a, b))
+
+
 def brute(space, radii, q=None, ids=None) -> np.ndarray:
     """The oracle's ``(q, a)`` count matrix."""
     index = BruteForceIndex(space, ids)
@@ -102,9 +115,11 @@ class TestFlatMatchesBruteForce:
         radii = hard_radii(space)
         q = np.arange(len(space))
         expected = BruteForceIndex(space).count_within_many(q, radii)
-        for walk in WALKS:
-            got = cls(space, walk=walk).count_within_many(q, radii)
-            assert np.array_equal(got, expected), walk
+        tree = cls(space)
+        assert np.array_equal(tree.count_within_many(q, radii), expected)
+        for walk in walks():
+            got = walk(space, q, radii, tree.flat)
+            assert np.array_equal(got, expected), walk.__name__
 
     def test_count_within_each_boundary_radius(self, cls, fixture, request):
         space = request.getfixturevalue(fixture)
@@ -122,27 +137,34 @@ class TestFlatMatchesBruteForce:
         queries = np.arange(1, len(space), 3)
         radii = hard_radii(space)
         expected = BruteForceIndex(space, ids).count_within_many(queries, radii)
-        for walk in WALKS:
-            got = cls(space, ids, walk=walk).count_within_many(queries, radii)
-            assert np.array_equal(got, expected), walk
+        tree = cls(space, ids)
+        assert np.array_equal(tree.count_within_many(queries, radii), expected)
+        for walk in walks():
+            got = walk(space, queries, radii, tree.flat)
+            assert np.array_equal(got, expected), walk.__name__
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("walk", ["level", "compiled"])
 @pytest.mark.parametrize("cls", FLAT_KINDS)
-def test_sharded_counts_match_brute_force(cls, walk, workers, vspace, sspace):
-    """Both sharding axes over the thread pool, any worker count."""
-    for space in (vspace, sspace):
+def test_sharded_counts_match_brute_force(cls, walk, workers, vspace, sspace, tspace,
+                                          monkeypatch):
+    """Query shards on the thread pool, any worker count, under each walk.
+
+    ``REPRO_NO_CKERNEL=1`` selects the level walk ("compiled" leaves the
+    environment alone, so it runs the kernel wherever it builds).  The
+    object metrics are wrapped in lambdas, which cannot be pickled, so
+    their shards run on threads too and the switch reaches every shard.
+    """
+    if walk == "level":
+        monkeypatch.setenv(ENV_DISABLE, "1")
+    for space in (vspace, unpicklable(sspace), unpicklable(tspace)):
         radii = hard_radii(space)
         q = np.arange(len(space))
         expected = BruteForceIndex(space).count_within_many(q, radii)
-        tree = cls(space)
-        for shard_by in ("query", "tree"):
-            got = ShardedWalkExecutor(
-                tree, workers=workers, backend="thread", shard_by=shard_by,
-                walk=walk,
-            ).count_within_many(q, radii)
-            assert np.array_equal(got, expected), (shard_by, space.is_vector)
+        ex = ShardedWalkExecutor(cls(space), workers=workers)
+        assert ex.backend == "thread"
+        assert np.array_equal(ex.count_within_many(q, radii), expected), space.is_vector
 
 
 class TestFlatTreeInvariants:

@@ -4,10 +4,11 @@ The level walk's contract is bit-identity with the brute-force oracle
 (:class:`~repro.index.bruteforce.BruteForceIndex`) for every flat tree
 family, on vector, string, and tree data, including the regression
 class the flat-tree tests pin (radius 0 with duplicates, radii tying
-exact pairwise distances).  On top of that sit the subtree-sharding
-primitives: opening the top of the tree, splitting the frontier into
-disjoint node ranges, and resuming each piece must sum to the oracle's
-matrix for any piece count, worker count, or backend.
+exact pairwise distances).  On top of that sit the frontier slicing
+every walk does (a frontier wider than ``_LEVEL_CHUNK`` entries is cut
+into pieces, each walked to completion, and the pieces must sum to the
+oracle's matrix for any piece size) and query sharding through the
+executor, the engine, and McCatch.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from test_flat_trees import boundary_radii, brute
+from test_flat_trees import boundary_radii, brute, unpicklable
 
 from repro import McCatch
 from repro.api import make_estimator
+from repro.datasets import make_last_names
 from repro.engine import BatchQueryEngine, ShardedWalkExecutor
 from repro.index import (
     BallTree,
@@ -27,13 +29,9 @@ from repro.index import (
     SlimTree,
     VPTree,
 )
-from repro.index.base import (
-    count_walk,
-    level_count_walk,
-    open_tree_frontier,
-    split_frontier,
-)
-from repro.index.ckernel import compiled_count_walk, kernel_available
+from repro.index import base
+from repro.index.base import count_walk, level_count_walk
+from repro.index.ckernel import ENV_DISABLE, compiled_count_walk, kernel_available
 from repro.io.indexes import load_index, save_index
 from repro.metric.base import MetricSpace
 from repro.metric.strings import levenshtein
@@ -112,17 +110,19 @@ class TestLevelMatchesStack:
         )
 
     @pytest.mark.parametrize("cls", FLAT_KINDS)
-    def test_walk_attribute_switches_implementation(self, cls, vspace):
+    def test_walk_attribute_switches_implementation(self, cls, vspace, monkeypatch):
+        """Trees carry no walk attribute any more: ``REPRO_NO_CKERNEL``,
+        read on every call, switches the implementation under the same
+        tree, and both answers equal brute force."""
         radii = boundary_radii(vspace)
         q = np.arange(len(vspace))
-        level = cls(vspace, walk="level")
-        compiled = cls(vspace, walk="compiled")
-        # The unqualified default is the environment-resolved "auto".
-        assert cls(vspace).walk == "auto"
-        assert level.walk == "level" and compiled.walk == "compiled"
+        tree = cls(vspace)
+        assert not hasattr(tree, "walk")
         expected = brute(vspace, radii)
-        assert np.array_equal(level.count_within_many(q, radii), expected)
-        assert np.array_equal(compiled.count_within_many(q, radii), expected)
+        assert np.array_equal(tree.count_within_many(q, radii), expected)
+        monkeypatch.setenv(ENV_DISABLE, "1")
+        assert not kernel_available()
+        assert np.array_equal(tree.count_within_many(q, radii), expected)
 
     def test_both_walks_collect_comparable_stats(self, vspace):
         radii = boundary_radii(vspace)
@@ -148,10 +148,11 @@ class TestLevelMatchesStack:
             assert stats["entries"] == collected[0]["entries"]
 
     def test_walk_kwarg_validated(self, vspace):
-        for walk in ("recursive", "stack"):
-            with pytest.raises(ValueError, match="unknown walk"):
+        """No tree and no walk entry point takes a walk selector."""
+        for walk in ("recursive", "stack", "level"):
+            with pytest.raises(TypeError, match="walk"):
                 VPTree(vspace, walk=walk)
-            with pytest.raises(ValueError, match="unknown walk"):
+            with pytest.raises(TypeError, match="walk"):
                 count_walk(
                     vspace, np.arange(3), np.array([1.0]), VPTree(vspace).flat,
                     walk=walk,
@@ -159,110 +160,102 @@ class TestLevelMatchesStack:
 
 
 class TestFrontierSplitting:
-    """open + split + per-piece resume sums to the serial matrix."""
+    """A frontier sliced into pieces of at most ``_LEVEL_CHUNK`` entries,
+    each walked to completion, sums to the serial matrix: scatters are
+    commuting integer adds.  The default chunk (2**19 entries) is never
+    reached on test-sized data, so these tests shrink it to ``pieces``."""
 
     @pytest.mark.parametrize("pieces", WORKER_COUNTS)
     @pytest.mark.parametrize("fixture", SPACES)
-    def test_piece_count_invariance(self, pieces, fixture, request):
+    def test_piece_count_invariance(self, pieces, fixture, request, monkeypatch):
         space = request.getfixturevalue(fixture)
         radii = boundary_radii(space)
         q = np.arange(len(space))
         flat = VPTree(space).flat
-        expected = brute(space, radii)
-        partial, frontier = open_tree_frontier(
-            space, q, radii, flat, min_nodes=pieces
-        )
-        for piece in split_frontier(frontier, pieces):
-            partial += level_count_walk(space, q, radii, flat, frontier=piece)
-        assert np.array_equal(partial, expected)
+        monkeypatch.setattr(base, "_LEVEL_CHUNK", pieces)
+        assert np.array_equal(level_count_walk(space, q, radii, flat), brute(space, radii))
 
     @pytest.mark.parametrize("cls", FLAT_KINDS)
-    def test_every_family(self, cls, vspace):
+    def test_every_family(self, cls, vspace, monkeypatch):
         radii = boundary_radii(vspace)
         q = np.arange(len(vspace))
         flat = cls(vspace).flat
-        expected = brute(vspace, radii)
-        partial, frontier = open_tree_frontier(vspace, q, radii, flat, min_nodes=5)
-        for piece in split_frontier(frontier, 5):
-            partial += level_count_walk(vspace, q, radii, flat, frontier=piece)
-        assert np.array_equal(partial, expected)
+        monkeypatch.setattr(base, "_LEVEL_CHUNK", 5)
+        assert np.array_equal(level_count_walk(vspace, q, radii, flat), brute(vspace, radii))
 
-    def test_pieces_cover_disjoint_nodes(self, vspace):
+    def test_pieces_cover_disjoint_nodes(self, vspace, monkeypatch):
+        """Slicing neither drops nor repeats frontier entries: one-entry
+        pieces step once per entry and process exactly the entries of
+        the unsliced walk."""
         radii = boundary_radii(vspace)
         q = np.arange(len(vspace))
         flat = BallTree(vspace).flat
-        _, frontier = open_tree_frontier(vspace, q, radii, flat, min_nodes=4)
-        pieces = split_frontier(frontier, 4)
-        node_sets = [set(p.nodes.tolist()) for p in pieces]
-        for i, left in enumerate(node_sets):
-            for right in node_sets[i + 1:]:
-                assert not (left & right)
-        assert set().union(*node_sets) == set(frontier.nodes.tolist())
+        whole: dict = {}
+        level_count_walk(vspace, q, radii, flat, stats=whole)
+        monkeypatch.setattr(base, "_LEVEL_CHUNK", 1)
+        sliced: dict = {}
+        counts = level_count_walk(vspace, q, radii, flat, stats=sliced)
+        assert np.array_equal(counts, brute(vspace, radii))
+        assert sliced["entries"] == whole["entries"]
+        assert sliced["steps"] == sliced["entries"] > whole["steps"]
 
     def test_deep_open_finishes_walk(self, vspace):
-        """min_nodes beyond the frontier's reach just finishes serially."""
+        """A chunk wider than every frontier leaves the walk unsliced:
+        one step per depth, never more steps than the tree is deep."""
         radii = boundary_radii(vspace)
         q = np.arange(len(vspace))
         flat = VPTree(vspace).flat
-        partial, frontier = open_tree_frontier(
-            vspace, q, radii, flat, min_nodes=10**9
-        )
-        assert frontier.nodes.size == 0
-        assert np.array_equal(partial, brute(vspace, radii))
+        stats: dict = {}
+        counts = level_count_walk(vspace, q, radii, flat, stats=stats)
+        assert np.array_equal(counts, brute(vspace, radii))
+        assert stats["steps"] <= flat.max_depth()
 
 
 class TestTreeSharding:
-    """shard_by="tree" through the executor, engine, and McCatch."""
+    """Query sharding through the executor, engine, and McCatch (the
+    class name predates the removal of the tree-axis sharding; every
+    sharded walk now splits the query set, on the pool the space
+    selects)."""
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("fixture", SPACES)
     def test_thread_backend_bit_identical(self, workers, fixture, request):
         space = request.getfixturevalue(fixture)
+        if not space.is_vector:
+            space = unpicklable(space)
         radii = boundary_radii(space)
         q = np.arange(len(space))
-        tree = VPTree(space)
-        expected = brute(space, radii)
-        got = ShardedWalkExecutor(
-            tree, workers=workers, backend="thread", shard_by="tree"
-        ).count_within_many(q, radii)
-        assert np.array_equal(got, expected)
+        ex = ShardedWalkExecutor(VPTree(space), workers=workers)
+        assert ex.backend == "thread"
+        assert np.array_equal(ex.count_within_many(q, radii), brute(space, radii))
 
-    @pytest.mark.parametrize("fixture", SPACES)
+    @pytest.mark.parametrize("fixture", ["sspace", "tspace"])
     def test_process_backend_bit_identical(self, fixture, request):
         space = request.getfixturevalue(fixture)
         radii = boundary_radii(space)
         q = np.arange(len(space))
-        tree = VPTree(space)
-        expected = brute(space, radii)
-        with ShardedWalkExecutor(
-            tree, workers=2, shards=3, backend="process", shard_by="tree"
-        ) as ex:
-            assert np.array_equal(ex.count_within_many(q, radii), expected)
+        with ShardedWalkExecutor(VPTree(space), workers=2) as ex:
+            assert ex.backend == "process"
+            assert np.array_equal(ex.count_within_many(q, radii), brute(space, radii))
 
     @pytest.mark.parametrize("cls", FLAT_KINDS)
-    def test_every_family_through_executor(self, cls, vspace):
-        radii = boundary_radii(vspace)
-        q = np.arange(len(vspace))
-        tree = cls(vspace)
-        expected = brute(vspace, radii)
-        got = ShardedWalkExecutor(
-            tree, workers=3, backend="thread", shard_by="tree"
-        ).count_within_many(q, radii)
-        assert np.array_equal(got, expected)
-
-    def test_index_sharded_method_forwards_axis(self, vspace):
-        tree = VPTree(vspace)
-        radii = boundary_radii(vspace)
-        q = np.arange(len(vspace))
-        sharded = tree.sharded(workers=2, shards=4, shard_by="tree")
-        assert sharded.shard_by == "tree"
-        assert np.array_equal(
-            sharded.count_within_many(q, radii), tree.count_within_many(q, radii)
-        )
+    def test_every_family_through_executor(self, cls, sspace):
+        """Every family's arrays survive publication and mmap attachment:
+        string data on the process pool."""
+        radii = boundary_radii(sspace)
+        q = np.arange(len(sspace))
+        with ShardedWalkExecutor(cls(sspace), workers=2) as ex:
+            assert ex.backend == "process"
+            assert np.array_equal(ex.count_within_many(q, radii), brute(sspace, radii))
 
     def test_executor_rejects_unknown_axis(self, vspace):
-        with pytest.raises(ValueError, match="shard_by"):
-            ShardedWalkExecutor(VPTree(vspace), workers=2, shard_by="columns")
+        for axis in ("query", "tree", "columns"):
+            with pytest.raises(TypeError, match="shard_by"):
+                ShardedWalkExecutor(VPTree(vspace), workers=2, shard_by=axis)
+            with pytest.raises(TypeError, match="shard_by"):
+                VPTree(vspace).sharded(workers=2, shard_by=axis)
+            with pytest.raises(TypeError, match="shard_by"):
+                BatchQueryEngine(VPTree(vspace), mode="parallel", shard_by=axis)
 
     def test_engine_parallel_self_join_agrees(self, vspace):
         radii = np.unique(boundary_radii(vspace))[1:]
@@ -271,54 +264,46 @@ class TestTreeSharding:
         reference = BatchQueryEngine(tree, mode="batched").self_join_counts(
             radii, max_cardinality=c
         )
-        tree_sharded = BatchQueryEngine(
-            tree, mode="parallel", workers=3, shard_by="tree"
-        ).self_join_counts(radii, max_cardinality=c)
-        assert np.array_equal(tree_sharded, reference)
+        sharded = BatchQueryEngine(tree, mode="parallel", workers=3).self_join_counts(
+            radii, max_cardinality=c
+        )
+        assert np.array_equal(sharded, reference)
 
-    def test_mccatch_fit_bit_identical_to_serial(self, blob_with_mc):
-        X, _ = blob_with_mc
-        serial = McCatch(index="vptree").fit(X)
-        sharded = McCatch(
-            index="vptree", engine_mode="parallel", workers=2, shard_by="tree"
-        ).fit(X)
+    def test_mccatch_fit_bit_identical_to_serial(self):
+        """A Levenshtein fit on the process pool equals the serial fit."""
+        names, _ = make_last_names(60, 6, random_state=1)
+        serial = McCatch(index="vptree").fit(names, levenshtein)
+        sharded = McCatch(index="vptree", engine_mode="parallel", workers=2).fit(
+            names, levenshtein
+        )
         assert np.array_equal(serial.point_scores, sharded.point_scores)
+        assert np.array_equal(serial.oracle.counts, sharded.oracle.counts)
         assert len(serial.microclusters) == len(sharded.microclusters)
         for a, b in zip(serial.microclusters, sharded.microclusters):
             assert np.array_equal(a.indices, b.indices)
             assert a.score == b.score
 
     def test_mccatch_validates_shard_by(self):
-        with pytest.raises(ValueError, match="shard_by"):
-            McCatch(shard_by="columns", engine_mode="parallel", workers=2)
-        with pytest.raises(ValueError, match="shard_by"):
-            McCatch(shard_by="tree")  # engine_mode is not parallel
-
-    def test_spec_surfaces_shard_by(self):
-        estimator = make_estimator("mccatch?engine=parallel&workers=2&shard_by=tree")
-        assert estimator.detector.shard_by == "tree"
-        assert "shard_by=tree" in estimator.spec
-        assert make_estimator(estimator.spec).spec == estimator.spec
-        # The default sharding axis canonicalizes away.
-        assert "shard_by" not in make_estimator("mccatch?engine=parallel&workers=2").spec
+        """``shard_by`` is gone from McCatch and from the spec registry."""
+        with pytest.raises(TypeError, match="shard_by"):
+            McCatch(shard_by="tree", engine_mode="parallel", workers=2)
+        with pytest.raises(TypeError, match="shard_by"):
+            McCatch(shard_by="query")
+        with pytest.raises(ValueError, match="unknown parameter 'shard_by'"):
+            make_estimator("mccatch?engine=parallel&workers=2&shard_by=tree")
 
     def test_cli_detect_shard_by_tree(self, tmp_path, capsys):
+        """``--shard-by`` is gone from ``repro detect`` and ``repro fit``."""
         from repro.cli import main
 
         rng = np.random.default_rng(0)
         X = np.vstack([rng.normal(0, 1, (80, 2)), [[9.0, 9.0]]])
         path = tmp_path / "data.csv"
         np.savetxt(path, X, delimiter=",")
-        assert main(["detect", str(path), "--workers", "2", "--shard-by", "tree"]) == 0
-        assert "microclusters" in capsys.readouterr().out
-
-    def test_cli_shard_by_requires_workers(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = tmp_path / "data.csv"
-        np.savetxt(path, np.zeros((4, 2)), delimiter=",")
-        with pytest.raises(SystemExit, match="--workers"):
-            main(["detect", str(path), "--shard-by", "tree"])
+        for command in ("detect", "fit"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, str(path), "--workers", "2", "--shard-by", "tree"])
+            assert exc.value.code == 2  # argparse: unrecognized arguments
 
 
 class TestLeafParentDistances:

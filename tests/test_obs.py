@@ -276,7 +276,7 @@ class TestProcessSinks:
     def test_reused_stats_dict_is_not_double_counted(self, sinks, walk_setup):
         walk, _ = sinks
         space, tree, radii, qids = walk_setup
-        # callers accumulate one stats dict across sharded resumes; the
+        # callers may reuse one stats dict across calls; the
         # sink must receive each call's delta, not the running total again
         stats = {}
         count_walk(space, qids, radii, tree, stats=stats)

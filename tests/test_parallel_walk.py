@@ -1,12 +1,13 @@
 """Shard/worker invariance of the parallel sharded frontier walks.
 
-The parallel layer's contract is exactness: for any shard count,
-worker count, and backend, the stacked per-shard count matrices must
-be bit-identical to one serial walk — on
+The parallel layer's contract is exactness: for any shard count and
+worker count, on whichever pool the space selects, the stacked
+per-shard count matrices must be bit-identical to one serial walk — on
 vector, string, and tree data, including the regression class the
 flat-tree tests pin (radius 0 with duplicates, radii tying exact
 pairwise distances).  Process workers must *attach* to a published
-mmap artifact, not materialize private copies.
+mmap artifact, not materialize private copies, and a metric that
+cannot be pickled must not crash a fit.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ import os
 import numpy as np
 import pytest
 
-from test_flat_trees import boundary_radii
+from test_flat_trees import boundary_radii, unpicklable
 
 from repro import McCatch
 from repro.api import make_estimator
+from repro.datasets import make_last_names
 from repro.engine import BatchQueryEngine, ShardedWalkExecutor, supports_sharding
+from repro.engine import parallel
 from repro.engine.parallel import _get_pool, attachment_report
 from repro.index import (
     BallTree,
@@ -30,7 +33,6 @@ from repro.index import (
     SlimTree,
     VPTree,
 )
-from repro.io.indexes import save_index
 from repro.metric.base import MetricSpace
 from repro.metric.strings import levenshtein
 from repro.metric.trees import LabeledTree, tree_edit_distance
@@ -81,6 +83,13 @@ def tspace():
 SPACES = ["vspace", "sspace", "tspace"]
 
 
+@pytest.fixture(scope="module", autouse=True)
+def _shutdown_pools():
+    """Process pools persist across executors; stop this module's workers."""
+    yield
+    parallel.shutdown_pools()
+
+
 class TestWorkerShardInvariance:
     """Counts are bit-identical for every worker/shard configuration."""
 
@@ -92,10 +101,8 @@ class TestWorkerShardInvariance:
         q = np.arange(len(space))
         tree = VPTree(space)
         expected = tree.count_within_many(q, radii)
-        got = ShardedWalkExecutor(
-            tree, workers=workers, backend="thread"
-        ).count_within_many(q, radii)
-        assert np.array_equal(got, expected)
+        with ShardedWalkExecutor(tree, workers=workers) as ex:
+            assert np.array_equal(ex.count_within_many(q, radii), expected)
 
     @pytest.mark.parametrize("cls", FLAT_KINDS)
     def test_every_flat_index_kind(self, cls, vspace):
@@ -103,26 +110,25 @@ class TestWorkerShardInvariance:
         q = np.arange(len(vspace))
         tree = cls(vspace)
         expected = tree.count_within_many(q, radii)
-        got = ShardedWalkExecutor(
-            tree, workers=3, backend="thread"
-        ).count_within_many(q, radii)
+        got = ShardedWalkExecutor(tree, workers=3).count_within_many(q, radii)
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("shards", [1, 2, 5, 17, 1000])
-    def test_shard_count_invariance(self, shards, vspace):
+    def test_shard_count_invariance(self, shards, vspace, monkeypatch):
+        """Any shard count: ``shards`` per worker (the module's
+        ``OVERSHARD``), capped at the batch size."""
+        monkeypatch.setattr(parallel, "OVERSHARD", shards)
         radii = boundary_radii(vspace)
         q = np.arange(len(vspace))
         tree = BallTree(vspace)
         expected = tree.count_within_many(q, radii)
-        got = ShardedWalkExecutor(
-            tree, workers=2, shards=shards, backend="thread"
-        ).count_within_many(q, radii)
+        got = ShardedWalkExecutor(tree, workers=2).count_within_many(q, radii)
         assert np.array_equal(got, expected)
 
     def test_subset_queries_and_single_radius(self, vspace):
         tree = VPTree(vspace)
         q = np.arange(1, len(vspace), 3)
-        ex = ShardedWalkExecutor(tree, workers=2, shards=3, backend="thread")
+        ex = ShardedWalkExecutor(tree, workers=2)
         for r in boundary_radii(vspace):
             assert np.array_equal(
                 ex.count_within(q, float(r)), tree.count_within(q, float(r))
@@ -132,79 +138,62 @@ class TestWorkerShardInvariance:
         tree = VPTree(vspace)
         radii = boundary_radii(vspace)
         q = np.arange(len(vspace))
-        got = tree.sharded(workers=2, shards=4).count_within_many(q, radii)
+        got = tree.sharded(workers=2).count_within_many(q, radii)
         assert np.array_equal(got, tree.count_within_many(q, radii))
 
 
 class TestProcessBackend:
-    """Process workers attach via mmap and still count bit-identically."""
+    """Object spaces shard over mmap-attached worker processes and still
+    count bit-identically; vector data never leaves the process."""
 
-    @pytest.mark.parametrize("fixture", SPACES)
+    @pytest.mark.parametrize("fixture", ["sspace", "tspace"])
     def test_bit_identical(self, fixture, request):
         space = request.getfixturevalue(fixture)
         radii = boundary_radii(space)
         q = np.arange(len(space))
         tree = VPTree(space)
         expected = tree.count_within_many(q, radii)
-        with ShardedWalkExecutor(
-            tree, workers=2, shards=3, backend="process"
-        ) as ex:
+        with ShardedWalkExecutor(tree, workers=2) as ex:
+            assert ex.backend == "process"
             assert np.array_equal(ex.count_within_many(q, radii), expected)
 
     def test_auto_backend_picks_process_for_object_metrics(self, sspace, vspace):
+        """The pool follows the space: processes for an object metric
+        that pickles, threads for vector data and for a metric that
+        cannot reach a worker process."""
         assert ShardedWalkExecutor(VPTree(sspace), workers=2).backend == "process"
         assert ShardedWalkExecutor(VPTree(vspace), workers=2).backend == "thread"
+        ex = ShardedWalkExecutor(VPTree(unpicklable(sspace)), workers=2)
+        assert ex.backend == "thread" and ex.artifact is None
 
-    def test_workers_attach_to_mmap_artifact(self, vspace):
+    def test_workers_attach_to_mmap_artifact(self, sspace):
         """The walk arrays a worker sees are views of the published
         archive — attached through the page cache, not materialized."""
-        tree = VPTree(vspace)
-        with ShardedWalkExecutor(tree, workers=2, backend="process") as ex:
+        tree = VPTree(sspace)
+        with ShardedWalkExecutor(tree, workers=2) as ex:
             report = (
                 _get_pool("process", 2)
-                .submit(attachment_report, str(ex.artifact))
+                .submit(attachment_report, str(ex.artifact), list(sspace.data), levenshtein)
                 .result()
             )
         assert report["pid"] != os.getpid()
         assert report["tree_mmap"] is True
-        assert report["data_mmap"] is True
-        assert report["n"] == len(vspace)
+        assert report["n"] == len(sspace)
 
-    def test_attaches_to_registry_published_artifact(self, vspace, tmp_path):
-        """An artifact published ahead of time (registry-style) is
-        attached as-is; the executor writes nothing of its own."""
-        tree = VPTree(vspace)
-        published = save_index(tree, tmp_path / "index.npz")
-        ex = ShardedWalkExecutor(
-            tree, workers=2, shards=3, backend="process", artifact=published
-        )
-        q = np.arange(len(vspace))
-        radii = boundary_radii(vspace)
-        assert np.array_equal(
-            ex.count_within_many(q, radii), tree.count_within_many(q, radii)
-        )
-        assert ex.artifact == published
-        assert ex._owned_artifact is None  # nothing self-published
-        report = (
-            _get_pool("process", 2)
-            .submit(attachment_report, str(published))
-            .result()
-        )
-        assert report["tree_mmap"] is True
-
-    def test_object_space_artifact_carries_no_data(self, sspace, tmp_path):
-        """Object spaces ship structure only; elements travel once as
-        the space payload, and the worker rebuilds the same counts."""
+    def test_object_space_artifact_carries_no_data(self, sspace):
+        """Object spaces publish structure only; the elements travel
+        with each task, and the worker rebuilds the same counts."""
         tree = VPTree(sspace)
-        ex = ShardedWalkExecutor(tree, workers=2, shards=2, backend="process")
-        q = np.arange(len(sspace))
-        radii = boundary_radii(sspace)
-        assert np.array_equal(
-            ex.count_within_many(q, radii), tree.count_within_many(q, radii)
-        )
-        items, metric = ex._space_payload()
-        assert items == list(sspace.data) and metric is levenshtein
-        ex.close()
+        with ShardedWalkExecutor(tree, workers=2) as ex:
+            q = np.arange(len(sspace))
+            radii = boundary_radii(sspace)
+            assert np.array_equal(
+                ex.count_within_many(q, radii), tree.count_within_many(q, radii)
+            )
+            with np.load(ex.artifact) as archive:
+                assert "data" not in archive.files and "tree_center" in archive.files
+            directory = ex.artifact.parent
+        assert not directory.exists()  # close() removed the self-published artifact
 
 
 class TestEngineParallelMode:
@@ -260,6 +249,26 @@ class TestMcCatchParallel:
             assert np.array_equal(a.indices, b.indices)
             assert a.score == b.score
 
+    def test_unpicklable_object_metric_fit_bit_identical_to_serial(self):
+        """``workers=`` stays a pure performance choice when the metric
+        cannot be pickled: the fit runs on threads instead of crashing
+        in the process pool's feeder."""
+        names, _ = make_last_names(60, 6, random_state=0)
+
+        def metric(a, b):
+            return levenshtein(a, b)
+
+        serial = McCatch(index="vptree").fit(names, metric)
+        parallel_fit = McCatch(index="vptree", engine_mode="parallel", workers=2).fit(
+            names, metric
+        )
+        assert np.array_equal(serial.point_scores, parallel_fit.point_scores)
+        assert np.array_equal(serial.oracle.counts, parallel_fit.oracle.counts)
+        assert len(serial.microclusters) == len(parallel_fit.microclusters)
+        for a, b in zip(serial.microclusters, parallel_fit.microclusters):
+            assert np.array_equal(a.indices, b.indices)
+            assert a.score == b.score
+
     def test_workers_requires_parallel_mode(self):
         with pytest.raises(ValueError, match="workers"):
             McCatch(workers=4)
@@ -296,17 +305,19 @@ class TestExecutorValidation:
             ShardedWalkExecutor(BruteForceIndex(vspace))
 
     def test_rejects_bad_workers_and_backend(self, vspace):
+        """``workers`` is the only setting; the deleted overrides are
+        unknown keywords."""
         tree = VPTree(vspace)
         with pytest.raises(ValueError, match="workers"):
             ShardedWalkExecutor(tree, workers=0)
-        with pytest.raises(ValueError, match="shards"):
-            ShardedWalkExecutor(tree, shards=0)
-        with pytest.raises(ValueError, match="backend"):
-            ShardedWalkExecutor(tree, backend="fibers")
+        for knob in ({"shards": 2}, {"backend": "thread"}, {"artifact": "x.npz"},
+                     {"artifact_dir": "."}, {"shard_by": "query"}, {"walk": "level"}):
+            with pytest.raises(TypeError, match=next(iter(knob))):
+                ShardedWalkExecutor(tree, **knob)
 
     def test_thread_backend_publishes_no_artifact(self, vspace):
-        ex = ShardedWalkExecutor(VPTree(vspace), workers=2, backend="thread")
-        assert ex.artifact is None
+        ex = ShardedWalkExecutor(VPTree(vspace), workers=2)
+        assert ex.backend == "thread" and ex.artifact is None
 
 
 class TestPairsWithinDefault:
