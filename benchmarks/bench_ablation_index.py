@@ -1,10 +1,12 @@
 """Ablation: index choice and the sparse-focused principle (Sec. IV-G).
 
-Not a paper table — this quantifies two design choices DESIGN.md calls
-out: (i) which tree backs the joins (brute force vs pure-Python trees
-vs scipy cKDTree), and (ii) the sparse-focused principle that skips
-neighbor counts already known to exceed c.  Detection output must be
-identical in all configurations; only runtime moves.
+Not a paper table — this quantifies two design choices: (i) which index
+backs the joins (scipy's cKDTree vs the flat VP-tree and ball tree vs
+brute force), and (ii) the sparse-focused principle that skips neighbor
+counts already known to exceed c.  The sparse-focused principle must
+leave the detected outliers unchanged.  The index kinds are only timed:
+each family still estimates the diameter its own way, so their radius
+ladders may differ.
 """
 
 from __future__ import annotations
@@ -16,20 +18,18 @@ from repro import McCatch
 from repro.datasets import make_http_like
 
 N = int(scaled(1.0, lo=0.1, hi=20.0) * 8_000)
-KINDS = ["ckdtree", "kdtree", "vptree", "rtree", "brute"]
+KINDS = ["ckdtree", "vptree", "balltree", "brute"]
 
 
 def bench_ablation_index_kind(benchmark):
     X, _ = make_http_like(n=N, random_state=0)
     timings: dict[str, float] = {}
-    outputs: dict[str, frozenset] = {}
 
     def run():
         for kind in KINDS:
             t0 = time.perf_counter()
-            res = McCatch(index=kind).fit(X)
+            McCatch(index=kind).fit(X)
             timings[kind] = time.perf_counter() - t0
-            outputs[kind] = frozenset(map(int, res.outlier_indices))
         return timings
 
     benchmark.pedantic(run, rounds=1, iterations=1)
@@ -40,9 +40,6 @@ def bench_ablation_index_kind(benchmark):
         format_table(["index", "runtime", "vs ckdtree"], rows,
                      title=f"Index ablation on http-like (n={N:,})"),
     )
-    # Box-based and ball-based diameter estimates differ, so radii may
-    # differ; but box-based kinds must agree exactly with each other.
-    assert outputs["kdtree"] == outputs["ckdtree"] == outputs["rtree"]
 
 
 def bench_ablation_sparse_focused(benchmark):

@@ -1,14 +1,13 @@
 """Ablation: which metric tree backs the joins on nondimensional data.
 
 Extends the index ablation to the metric-tree family (VP-tree, M-tree,
-Slim-tree, cover tree, ball tree, LAESA) on a string workload under
+Slim-tree, cover tree, ball tree) on a string workload under
 Levenshtein distance — the regime footnote 4 of the paper assigns to
-metric access methods.  Also reports LAESA's bound-filtering rate,
-the reason to pick a pivot table when the metric is expensive.
+metric access methods.
 
 Detection output must be identical for every index whose diameter
-estimate uses the shared two-scan rule (brute, covertree, balltree,
-laesa); the others may differ only through the radius ladder.
+estimate uses the shared two-scan rule (brute, covertree, balltree);
+the others may differ only through the radius ladder.
 """
 
 from __future__ import annotations
@@ -19,15 +18,13 @@ import numpy as np
 
 from _common import format_table, scaled, write_result
 from repro import McCatch
-from repro.index import LAESAIndex
-from repro.metric.base import MetricSpace
 from repro.metric.strings import levenshtein
 
 # Pure-Python Levenshtein joins price every distance call; 500 strings
-# keeps the 7-way comparison to minutes at scale 1 (REPRO_BENCH_SCALE
+# keeps the 6-way comparison to minutes at scale 1 (REPRO_BENCH_SCALE
 # raises it toward the paper's 5k Last Names).
 N = int(scaled(1.0, lo=0.1, hi=20.0) * 500)
-KINDS = ["vptree", "mtree", "slimtree", "covertree", "balltree", "laesa", "brute"]
+KINDS = ["vptree", "mtree", "slimtree", "covertree", "balltree", "brute"]
 
 
 def _string_workload(n: int) -> list[str]:
@@ -66,35 +63,8 @@ def bench_ablation_metric_tree_choice(benchmark):
         ),
     )
     # Two-scan-diameter kinds share the radius ladder => identical output.
-    assert outputs["covertree"] == outputs["balltree"] == outputs["laesa"] == outputs["brute"]
+    assert outputs["covertree"] == outputs["balltree"] == outputs["brute"]
     # Every configuration catches the planted near-duplicate pair.
     for kind in KINDS:
         assert {N - 2, N - 1} <= outputs[kind], kind
 
-
-def bench_ablation_laesa_filtering(benchmark):
-    words = _string_workload(N)
-    space = MetricSpace(words, levenshtein)
-
-    def run():
-        idx = LAESAIndex(space, n_pivots=16)
-        stats = {"excluded": 0, "included": 0, "evaluated": 0}
-        for q in range(0, len(words), max(1, len(words) // 200)):
-            s = idx.filtering_stats(q, radius=2.0)
-            for key in stats:
-                stats[key] += s[key]
-        return stats
-
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    total = sum(stats.values())
-    rows = [[k, f"{v:,}", f"{100.0 * v / total:.1f}%"] for k, v in stats.items()]
-    write_result(
-        "ablation_laesa_filtering",
-        format_table(
-            ["bound decision", "elements", "share"],
-            rows,
-            title="LAESA pivot-bound filtering at radius 2 (16 pivots)",
-        ),
-    )
-    # The pivot bounds must resolve the majority without the metric.
-    assert stats["evaluated"] < 0.5 * total

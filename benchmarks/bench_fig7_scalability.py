@@ -6,11 +6,12 @@ dimensions; the log-log slope matches 2 - 1/u where u is the intrinsic
 1.5 / 1.95 / 1.98 for Uniform in 2 / 20 / 50 dims.
 
 Index note: Lemma 1 assumes the *count-only principle* — the tree
-counts whole subtrees inside a query ball in O(1).  Our pure-Python
-KD-tree implements that shortcut; scipy's cKDTree (the default
+counts whole subtrees inside a query ball in O(1).  The flat metric
+trees implement that shortcut: their walk credits a node the query ball
+swallows with its stored ``size``.  scipy's cKDTree (the default
 wall-clock fast path) enumerates neighbors on its count queries, which
 is quadratic when counts are Θ(n) as on the Diagonal.  The low-fractal-
-dimension cases therefore run on the count-only KD-tree, while the
+dimension cases therefore run on the count-only VP-tree, while the
 high-dimensional Uniform cases (whose expected slope is ~2 − 1/50 ≈
 1.98 anyway) use the default index.
 """
@@ -40,9 +41,9 @@ CASES = [
      int(8_000 * BOOST)),
     ("uniform-50d", lambda n: uniform_cube(n, 50, random_state=0), "ckdtree",
      int(6_000 * BOOST)),
-    ("diagonal-2d", lambda n: diagonal_line(n, 2, random_state=0), "kdtree",
+    ("diagonal-2d", lambda n: diagonal_line(n, 2, random_state=0), "vptree",
      int(8_000 * BOOST)),
-    ("diagonal-50d", lambda n: diagonal_line(n, 50, random_state=0), "kdtree",
+    ("diagonal-50d", lambda n: diagonal_line(n, 50, random_state=0), "vptree",
      int(8_000 * BOOST)),
 ]
 

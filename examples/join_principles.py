@@ -7,8 +7,7 @@ actually matters — *distance evaluations* — instead of noisy
 wall-clock numbers:
 
 1. using-index principle:  VP-tree pruning vs brute-force scans;
-2. sparse-focused principle:  skip counts already known to exceed c;
-3. (for expensive metrics) LAESA pivot bounds vs any tree.
+2. sparse-focused principle:  skip counts already known to exceed c.
 
 Run:  python examples/join_principles.py
 """
@@ -18,7 +17,7 @@ import numpy as np
 from repro import McCatch
 from repro.core.oracle import build_oracle_plot
 from repro.core.radii import define_radii
-from repro.index import BruteForceIndex, LAESAIndex, VPTree
+from repro.index import BruteForceIndex, VPTree
 from repro.metric import CountingMetricSpace, MetricSpace
 
 rng = np.random.default_rng(0)
@@ -51,15 +50,9 @@ vp_space = CountingMetricSpace(MetricSpace(X))
 VPTree(vp_space).count_within(np.arange(n), radius)
 vp_calls = vp_space.counter.total
 
-laesa_space = CountingMetricSpace(MetricSpace(X))
-LAESAIndex(laesa_space, n_pivots=8).count_within(np.arange(n), radius)
-laesa_calls = laesa_space.counter.total
-
 print("1. using-index principle — one range-count join, distance evaluations:")
 print(f"   brute force : {brute_calls:>12,}   (n^2 = {n * n:,})")
 print(f"   VP-tree     : {vp_calls:>12,}   ({brute_calls / vp_calls:.1f}x fewer)")
-print(f"   LAESA       : {laesa_calls:>12,}   ({brute_calls / laesa_calls:.1f}x fewer; "
-      "includes pivot-table build)")
 
 # -- principle 2: sparse-focused ----------------------------------------------
 dense = oracle_plot_cost(sparse_focused=False)

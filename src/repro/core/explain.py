@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core.plateaus import find_plateaus
 from repro.core.result import McCatchResult
-from repro.index.joins import UNKNOWN_COUNT
+from repro.index.base import UNKNOWN_COUNT
 
 
 def explain_point(result: McCatchResult, index: int, *, max_cardinality: int | None = None) -> str:

@@ -7,7 +7,7 @@ non-excused *middle plateau* (height in (1, c], not touching the last
 radius) yields the Group 1NN Distance ``y_i``.
 
 Counts skipped by the sparse-focused principle are
-:data:`~repro.index.joins.UNKNOWN_COUNT`; any slope touching an unknown
+:data:`~repro.index.base.UNKNOWN_COUNT`; any slope touching an unknown
 count is treated as "steep" (> b), which is safe because unknown counts
 only occur after the count already exceeded the Maximum Microcluster
 Cardinality ``c`` — i.e. in excused territory.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.index.joins import UNKNOWN_COUNT
+from repro.index.base import UNKNOWN_COUNT
 
 
 @dataclass(frozen=True)

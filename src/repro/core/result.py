@@ -67,7 +67,7 @@ class OraclePlot:
         The radius ladder ``R`` of Alg. 1 line 3.
     counts:
         Neighbor counts per point per radius
-        (:data:`~repro.index.joins.UNKNOWN_COUNT` where the
+        (:data:`~repro.index.base.UNKNOWN_COUNT` where the
         sparse-focused principle skipped the join).
     """
 

@@ -10,8 +10,7 @@ single multi-radius walk over their
 slice of the shared element permutation), with chunked
 pairwise-distance blocks on the brute-force/vector path, and owns the
 paper's Sec. IV-G scheduling principles (sparse-focused,
-small-radii-only) that used to live inside
-:func:`repro.index.joins.self_join_counts`.
+small-radii-only).
 
 Two execution modes, selected at construction:
 
@@ -179,15 +178,15 @@ class BatchQueryEngine:
     ) -> np.ndarray:
         """Neighbor counts (+ self) for every indexed point at every radius.
 
-        Parameters and result layout match the historical
-        :func:`repro.index.joins.self_join_counts` exactly, including
-        where ``UNKNOWN_COUNT`` (-1) appears: with ``sparse_focused``,
-        a point whose count at radius ``r_{e-1}`` already exceeds
-        ``max_cardinality`` is unknown at every later radius (its
-        further counts could only describe clusters too big to be
-        microclusters), and with ``small_radii_only`` the top radius is
-        never joined — still-tracked points get ``n`` there, the rest
-        stay unknown.
+        ``radii`` is the strictly increasing ladder of Alg. 1 line 3;
+        the result is an ``(n, a)`` int array in ``index.ids`` order.
+        ``UNKNOWN_COUNT`` (-1) marks the entries never joined: with
+        ``sparse_focused``, a point whose count at radius ``r_{e-1}``
+        already exceeds ``max_cardinality`` is unknown at every later
+        radius (its further counts could only describe clusters too big
+        to be microclusters), and with ``small_radii_only`` the top
+        radius is never joined — still-tracked points get ``n`` there,
+        the rest stay unknown.
         """
         radii = np.asarray(radii, dtype=np.float64)
         if radii.size < 2:

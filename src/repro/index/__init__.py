@@ -1,23 +1,20 @@
-"""Metric and spatial indexes plus the similarity joins built on them.
+"""Metric and spatial indexes for McCatch's joins.
 
 The paper's *using-index principle* (Sec. IV-G): every join leverages a
 tree.  Every index also answers the batched multi-radius query
 ``count_within_many`` that :mod:`repro.engine` schedules McCatch's
 workloads onto — the metric trees with a single level-synchronous
-walk, the rest with stacked per-radius passes.  Available trees:
+walk, the rest with stacked per-radius passes.  Available indexes
+(:func:`~repro.index.factory.available_index_kinds`):
 
 - :class:`~repro.index.vptree.VPTree` — default for nondimensional data;
 - :class:`~repro.index.mtree.MTree` / :class:`~repro.index.slimtree.SlimTree`
   — the metric access methods the paper names [35], [36];
-- :class:`~repro.index.kdtree.KDTree` (pure Python) and
-  :class:`~repro.index.ckdtree.CKDTreeIndex` (scipy fast path) — vectors
-  in main memory;
-- :class:`~repro.index.rtree.RTree` — STR-packed, the disk-based option;
+- :class:`~repro.index.ckdtree.CKDTreeIndex` — scipy's compiled kd-tree,
+  default for Euclidean vectors in main memory;
 - :class:`~repro.index.covertree.CoverTree` /
   :class:`~repro.index.balltree.BallTree` — alternative metric trees for
   the index ablation;
-- :class:`~repro.index.laesa.LAESAIndex` — pivot-table filtering for
-  expensive metrics (tree edit distance, long strings);
 - :class:`~repro.index.bruteforce.BruteForceIndex` — correctness oracle.
 
 The metric trees all store their structure as a
@@ -30,7 +27,8 @@ else the depth-major numpy
 float32-bracketed leaf kernels, virtual leaves) — bit-identical counts
 either way.  A fitted tree can be persisted with
 :func:`repro.io.save_index` and served as a
-:class:`~repro.index.base.FrozenIndex`.
+:class:`~repro.index.base.FrozenIndex`.  The joins themselves run on
+:class:`repro.engine.BatchQueryEngine`.
 """
 
 from repro.index.balltree import BallTree
@@ -47,11 +45,7 @@ from repro.index.bulk import bulk_build_covertree, bulk_build_mtree, slim_down_f
 from repro.index.ckdtree import CKDTreeIndex
 from repro.index.covertree import CoverTree
 from repro.index.factory import available_index_kinds, build_index
-from repro.index.joins import join_counts, self_join_counts, self_join_pairs
-from repro.index.kdtree import KDTree
-from repro.index.laesa import LAESAIndex
 from repro.index.mtree import MTree
-from repro.index.rtree import RTree
 from repro.index.slimtree import SlimTree
 from repro.index.vptree import VPTree
 
@@ -63,21 +57,15 @@ __all__ = [
     "level_count_walk",
     "BruteForceIndex",
     "VPTree",
-    "KDTree",
     "CKDTreeIndex",
     "MTree",
     "SlimTree",
-    "RTree",
     "CoverTree",
     "BallTree",
-    "LAESAIndex",
     "build_index",
     "available_index_kinds",
     "bulk_build_mtree",
     "bulk_build_covertree",
     "slim_down_flat",
-    "self_join_counts",
-    "join_counts",
-    "self_join_pairs",
     "UNKNOWN_COUNT",
 ]

@@ -154,7 +154,7 @@ class MetricIndex(ABC):
         ``count_within`` / ``count_within_many`` shard the query set
         across a persistent worker pool with bit-identical counts.
         Raises ``TypeError`` for indexes without :class:`FlatTree`
-        storage (brute force, kd-/R-trees, LAESA).
+        storage (brute force, cKDTree).
         """
         from repro.engine.parallel import ShardedWalkExecutor
 

@@ -18,18 +18,29 @@ from repro.index.base import MetricIndex
 from repro.metric.base import MetricSpace
 
 
+def is_euclidean_vectors(space: MetricSpace) -> bool:
+    """Whether ``space`` holds vectors under the L2 metric, the only
+    spaces scipy's (Euclidean) cKDTree answers exactly."""
+    return space.is_vector and getattr(space.metric, "p", None) == 2.0
+
+
 class CKDTreeIndex(MetricIndex):
     """Range counting backed by :class:`scipy.spatial.cKDTree`."""
 
     def __init__(self, space: MetricSpace, ids=None):
-        if not space.is_vector:
-            raise TypeError("CKDTreeIndex requires vector data")
+        if not is_euclidean_vectors(space):
+            raise TypeError(
+                "CKDTreeIndex requires vector data under the Euclidean metric; "
+                "use 'vptree' or 'brute' for other metrics"
+            )
         super().__init__(space, ids)
         self._points = space.data[self.ids]
         self._tree = cKDTree(self._points)
 
     def count_within(self, query_ids: Sequence[int] | np.ndarray, radius: float) -> np.ndarray:
         query_ids = np.asarray(query_ids, dtype=np.intp)
+        if radius < 0:  # scipy would search within |radius|
+            return np.zeros(query_ids.size, dtype=np.intp)
         counts = self._tree.query_ball_point(
             self.space.data[query_ids], r=float(radius), return_length=True
         )
@@ -51,6 +62,8 @@ class CKDTreeIndex(MetricIndex):
         return dists[:, 1:], self.ids[pos[:, 1:]]
 
     def pairs_within(self, radius: float) -> list[tuple[int, int]]:
+        if radius < 0:
+            return []
         raw = self._tree.query_pairs(r=float(radius), output_type="ndarray")
         out: list[tuple[int, int]] = []
         for a, b in raw:

@@ -41,7 +41,7 @@ def index_payload(index: MetricIndex, *, include_data: bool = True) -> dict:
 
     Shared by :func:`save_index` and the model persistence in
     :mod:`repro.io.models`.  Raises ``TypeError`` for indexes without
-    flat storage (brute force, kd-/R-trees, LAESA).
+    flat storage (brute force, cKDTree).
     """
     flat = getattr(index, "flat", None)
     if not isinstance(flat, FlatTree):

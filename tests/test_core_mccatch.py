@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro import McCatch, MetricSpace, detect_microclusters
+from repro.datasets.benchmarks import make_http_like
+from repro.index import available_index_kinds
 from repro.metric.strings import levenshtein
 
 
@@ -95,7 +97,7 @@ class TestFitOnVectors:
         result = detect_microclusters(X, n_radii=10)
         assert result.oracle.radii.size == 10
 
-    @pytest.mark.parametrize("kind", ["brute", "vptree", "kdtree", "ckdtree", "mtree", "rtree"])
+    @pytest.mark.parametrize("kind", available_index_kinds())
     def test_index_kinds_find_planted_outliers(self, blob_with_mc, kind):
         # Radii ladders may differ across kinds (diameter estimates vary),
         # but every index must surface the planted structure.
@@ -103,6 +105,19 @@ class TestFitOnVectors:
         got = McCatch(index=kind).fit(X)
         planted = set(np.nonzero(labels > 0)[0])
         assert planted <= set(map(int, got.outlier_indices))
+
+    def test_ckdtree_refuses_non_euclidean_metric(self):
+        # scipy's cKDTree measures L2 only: answering this cityblock fit
+        # with it would give 100 microclusters where brute force finds 5.
+        X, _ = make_http_like(1500, random_state=0)
+        with pytest.raises(TypeError, match="Euclidean metric"):
+            McCatch(index="ckdtree").fit(X, metric="cityblock")
+        auto = McCatch().fit(X, metric="cityblock")
+        brute = McCatch(index="brute").fit(X, metric="cityblock")
+        assert np.array_equal(auto.point_scores, brute.point_scores)
+        assert [m.indices.tolist() for m in auto.microclusters] == [
+            m.indices.tolist() for m in brute.microclusters
+        ]
 
     def test_uniform_data_few_outliers(self):
         X = np.random.default_rng(5).uniform(size=(800, 2))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.plateaus import analyze_counts, find_plateaus, first_plateau, middle_plateau
 from repro.core.radii import radius_ladder
-from repro.index.joins import UNKNOWN_COUNT
+from repro.index import UNKNOWN_COUNT
 
 RADII = radius_ladder(128.0, 8)  # 1, 2, 4, ..., 128
 

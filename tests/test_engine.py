@@ -21,7 +21,7 @@ from repro.metric.strings import levenshtein
 from repro.metric.trees import LabeledTree, tree_edit_distance
 
 ALL_KINDS = available_index_kinds()
-METRIC_KINDS = [k for k in ALL_KINDS if k not in ("kdtree", "ckdtree", "rtree")]
+METRIC_KINDS = [k for k in ALL_KINDS if k != "ckdtree"]
 
 
 def _tree(label, *children):

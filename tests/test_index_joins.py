@@ -1,17 +1,12 @@
-"""Tests for repro.index.joins: the three similarity joins and the
+"""Tests for McCatch's three similarity joins (SELFJOINC, JOINC,
+SELFJOIN) as :class:`repro.engine.BatchQueryEngine` runs them, and the
 Sec. IV-G speed-up principles."""
 
 import numpy as np
 import pytest
 
-from repro.index import (
-    UNKNOWN_COUNT,
-    BruteForceIndex,
-    build_index,
-    join_counts,
-    self_join_counts,
-    self_join_pairs,
-)
+from repro.engine import BatchQueryEngine
+from repro.index import UNKNOWN_COUNT, BruteForceIndex, available_index_kinds, build_index
 from repro.metric.base import MetricSpace
 
 
@@ -28,30 +23,30 @@ def radii(space):
 
 class TestSelfJoinCounts:
     def test_exhaustive_matches_manual(self, space, radii):
-        idx = build_index(space, kind="brute")
-        counts = self_join_counts(idx, radii, sparse_focused=False, small_radii_only=False)
+        engine = BatchQueryEngine(build_index(space, kind="brute"))
+        counts = engine.self_join_counts(radii, sparse_focused=False, small_radii_only=False)
         dm = space.distance_matrix()
         for e, r in enumerate(radii):
             manual = (dm <= r).sum(axis=1)
             assert np.array_equal(counts[:, e], manual)
 
     def test_counts_nondecreasing_in_radius(self, space, radii):
-        idx = build_index(space, kind="brute")
-        counts = self_join_counts(idx, radii, sparse_focused=False, small_radii_only=False)
+        engine = BatchQueryEngine(build_index(space, kind="brute"))
+        counts = engine.self_join_counts(radii, sparse_focused=False, small_radii_only=False)
         assert (np.diff(counts, axis=1) >= 0).all()
 
     def test_sparse_focused_agrees_where_known(self, space, radii):
-        idx = build_index(space, kind="brute")
+        engine = BatchQueryEngine(build_index(space, kind="brute"))
         c = 10
-        full = self_join_counts(idx, radii, sparse_focused=False, small_radii_only=False)
-        sparse = self_join_counts(idx, radii, max_cardinality=c, small_radii_only=False)
+        full = engine.self_join_counts(radii, sparse_focused=False, small_radii_only=False)
+        sparse = engine.self_join_counts(radii, max_cardinality=c, small_radii_only=False)
         known = sparse != UNKNOWN_COUNT
         assert np.array_equal(sparse[known], full[known])
 
     def test_sparse_focused_skips_only_after_exceeding_c(self, space, radii):
-        idx = build_index(space, kind="brute")
+        engine = BatchQueryEngine(build_index(space, kind="brute"))
         c = 10
-        sparse = self_join_counts(idx, radii, max_cardinality=c, small_radii_only=False)
+        sparse = engine.self_join_counts(radii, max_cardinality=c, small_radii_only=False)
         n, a = sparse.shape
         for i in range(n):
             for e in range(1, a):
@@ -61,31 +56,33 @@ class TestSelfJoinCounts:
                     assert prev == UNKNOWN_COUNT or prev > c
 
     def test_small_radii_only_fills_last_column_with_n(self, space, radii):
-        idx = build_index(space, kind="brute")
-        counts = self_join_counts(idx, radii, sparse_focused=False)
+        engine = BatchQueryEngine(build_index(space, kind="brute"))
+        counts = engine.self_join_counts(radii, sparse_focused=False)
         assert (counts[:, -1] == len(space)).all()
 
     def test_self_always_counted(self, space, radii):
-        idx = build_index(space, kind="brute")
-        counts = self_join_counts(idx, radii, sparse_focused=False, small_radii_only=False)
+        engine = BatchQueryEngine(build_index(space, kind="brute"))
+        counts = engine.self_join_counts(radii, sparse_focused=False, small_radii_only=False)
         assert (counts[:, 0] >= 1).all()
 
     def test_rejects_nonincreasing_radii(self, space):
-        idx = build_index(space, kind="brute")
+        engine = BatchQueryEngine(build_index(space, kind="brute"))
         with pytest.raises(ValueError, match="strictly increasing"):
-            self_join_counts(idx, [1.0, 1.0, 2.0])
+            engine.self_join_counts([1.0, 1.0, 2.0])
 
     def test_rejects_single_radius(self, space):
-        idx = build_index(space, kind="brute")
+        engine = BatchQueryEngine(build_index(space, kind="brute"))
         with pytest.raises(ValueError, match="two radii"):
-            self_join_counts(idx, [1.0])
+            engine.self_join_counts([1.0])
 
-    @pytest.mark.parametrize("kind", ["brute", "vptree", "ckdtree", "mtree"])
+    @pytest.mark.parametrize("kind", available_index_kinds())
     def test_index_kinds_agree(self, space, radii, kind):
-        ref = self_join_counts(
-            build_index(space, kind="brute"), radii, max_cardinality=12
+        ref = BatchQueryEngine(build_index(space, kind="brute")).self_join_counts(
+            radii, max_cardinality=12
         )
-        got = self_join_counts(build_index(space, kind=kind), radii, max_cardinality=12)
+        got = BatchQueryEngine(build_index(space, kind=kind)).self_join_counts(
+            radii, max_cardinality=12
+        )
         assert np.array_equal(ref, got)
 
 
@@ -95,13 +92,13 @@ class TestJoinCounts:
         query_ids = np.arange(40, 60)
         idx = build_index(space, inlier_ids, kind="brute")
         r = 2.0
-        got = join_counts(idx, query_ids, r)
+        got = BatchQueryEngine(idx).join_counts(query_ids, r)
         dm = space.distances_among(query_ids, inlier_ids)
         assert np.array_equal(got, (dm <= r).sum(axis=1))
 
     def test_disjoint_sets_no_self_count(self, space):
         idx = build_index(space, np.array([0]), kind="brute")
-        got = join_counts(idx, np.array([1]), 1e-12)
+        got = BatchQueryEngine(idx).join_counts(np.array([1]), 1e-12)
         assert got[0] in (0, 1)  # 1 only if points 0 and 1 coincide
 
 
@@ -110,7 +107,7 @@ class TestSelfJoinPairs:
         ids = np.arange(0, 30)
         idx = build_index(space, ids, kind="vptree")
         r = 1.5
-        pairs = set(self_join_pairs(idx, r))
+        pairs = set(BatchQueryEngine(idx).pairs(r))
         dm = space.distance_matrix()
         for i in ids:
             for j in ids:

@@ -1,9 +1,8 @@
-"""Structure-specific tests for CoverTree, BallTree, and LAESAIndex.
+"""Structure-specific tests for CoverTree and BallTree.
 
 Cross-index *agreement* with the brute-force oracle lives in
 test_index_agreement.py; here we check the invariants each structure
-promises beyond correct counts (cover-tree scales, ball-tree balance,
-LAESA pivot spread and bound-filtering behaviour).
+promises beyond correct counts (cover-tree scales, ball-tree balance).
 """
 
 import numpy as np
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 from test_bulk_build import check_cover_tree
 
-from repro.index import BallTree, BruteForceIndex, CoverTree, LAESAIndex, build_index
+from repro.index import BallTree, BruteForceIndex, CoverTree, build_index
 from repro.metric.base import MetricSpace
 from repro.metric.strings import levenshtein
 
@@ -155,64 +154,15 @@ class TestBallTree:
             assert np.array_equal(tree.count_within(q, r), brute.count_within(q, r))
 
 
-class TestLAESA:
-    def test_pivots_are_spread(self, blobs):
-        idx = LAESAIndex(blobs, n_pivots=5)
-        assert idx.pivots.size == 5
-        # Greedy farthest-point pivots are pairwise distinct elements.
-        assert len(set(int(p) for p in idx.pivots)) == 5
-
-    def test_pivot_count_capped_at_n(self):
-        space = MetricSpace(np.random.default_rng(0).normal(size=(6, 2)))
-        idx = LAESAIndex(space, n_pivots=100)
-        assert idx.pivots.size <= 6
-
-    def test_duplicate_data_stops_pivot_selection(self):
-        space = MetricSpace(np.zeros((10, 2)))
-        idx = LAESAIndex(space, n_pivots=4)
-        assert idx.pivots.size == 1  # all farther candidates coincide
-
-    def test_bounds_decide_most_elements(self, blobs):
-        """On clustered data the pivot bounds should resolve the bulk of
-        the elements without metric evaluations."""
-        idx = LAESAIndex(blobs, n_pivots=8)
-        stats = idx.filtering_stats(0, radius=3.0)
-        n = len(blobs)
-        assert stats["excluded"] + stats["included"] + stats["evaluated"] == n
-        assert stats["evaluated"] < n  # bounds did some work
-
-    def test_out_of_dataset_query_distances(self, blobs):
-        idx = LAESAIndex(blobs, n_pivots=4)
-        # Query by an id not indexed: restrict the index to half the space
-        half = np.arange(0, len(blobs), 2)
-        sub = LAESAIndex(blobs, half, n_pivots=4)
-        brute = BruteForceIndex(blobs, half)
-        queries = np.arange(1, len(blobs), 2)  # none of these are indexed
-        r = 2.5
-        assert np.array_equal(sub.count_within(queries, r), brute.count_within(queries, r))
-
-    def test_invalid_pivot_count(self, blobs):
-        with pytest.raises(ValueError, match="n_pivots"):
-            LAESAIndex(blobs, n_pivots=0)
-
-    def test_works_on_strings(self, words):
-        brute = BruteForceIndex(words)
-        idx = LAESAIndex(words, n_pivots=6)
-        q = np.arange(len(words))
-        for r in (1.0, 4.0):
-            assert np.array_equal(idx.count_within(q, r), brute.count_within(q, r))
-
-
 class TestFactoryIntegration:
     @pytest.mark.parametrize("kind,cls", [
         ("covertree", CoverTree),
         ("balltree", BallTree),
-        ("laesa", LAESAIndex),
     ])
     def test_factory_builds_new_kinds(self, blobs, kind, cls):
         assert isinstance(build_index(blobs, kind=kind), cls)
 
-    @pytest.mark.parametrize("kind", ["covertree", "balltree", "laesa"])
+    @pytest.mark.parametrize("kind", ["covertree", "balltree"])
     def test_mccatch_runs_with_new_indexes(self, kind):
         from repro import McCatch
 
@@ -241,18 +191,6 @@ class TestPropertyBased:
         tree = CoverTree(space, leaf_size=leaf)
         q = np.arange(n)
         assert np.array_equal(tree.count_within(q, r), brute.count_within(q, r))
-
-    @given(seed=st.integers(0, 500), n=st.integers(5, 60), k=st.integers(1, 10))
-    @settings(max_examples=25, deadline=None)
-    def test_laesa_counts_match_brute(self, seed, n, k):
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(n, 3))
-        space = MetricSpace(X)
-        brute = BruteForceIndex(space)
-        r = float(rng.uniform(0.1, 3.0))
-        idx = LAESAIndex(space, n_pivots=k)
-        q = np.arange(n)
-        assert np.array_equal(idx.count_within(q, r), brute.count_within(q, r))
 
     @given(seed=st.integers(0, 500), n=st.integers(5, 60))
     @settings(max_examples=25, deadline=None)

@@ -1,12 +1,12 @@
 """Structure-specific index tests: M-tree invariants, Slim-tree
-slim-down, R-tree packing, VP-tree determinism, base-class validation."""
+slim-down, VP-tree determinism, base-class validation."""
 
 import numpy as np
 import pytest
 
 from test_bulk_build import check_mtree_capacity
 
-from repro.index import BruteForceIndex, MTree, RTree, SlimTree, VPTree
+from repro.index import BruteForceIndex, MTree, SlimTree, VPTree
 from repro.index.base import FlatTree
 from repro.metric.base import MetricSpace
 
@@ -82,39 +82,6 @@ class TestSlimTree:
         space = MetricSpace(small_points)
         tree = SlimTree(space, capacity=4, slim_down=True)
         assert int(tree.count_within(np.array([0]), 1e9)[0]) == len(space)
-
-
-class TestRTree:
-    def test_leaf_capacity(self, small_points):
-        tree = RTree(MetricSpace(small_points), capacity=8)
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if node.bucket is not None:
-                assert node.bucket.size <= 8
-            else:
-                assert len(node.children) <= 8
-                stack.extend(node.children)
-
-    def test_mbrs_contain_children(self, small_points):
-        space = MetricSpace(small_points)
-        tree = RTree(space, capacity=8)
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if node.bucket is not None:
-                pts = space.data[node.bucket]
-                assert (pts >= node.lo - 1e-12).all()
-                assert (pts <= node.hi + 1e-12).all()
-            else:
-                for child in node.children:
-                    assert (child.lo >= node.lo - 1e-12).all()
-                    assert (child.hi <= node.hi + 1e-12).all()
-                stack.extend(node.children)
-
-    def test_sizes_consistent(self, small_points):
-        tree = RTree(MetricSpace(small_points), capacity=8)
-        assert tree.root.size == len(small_points)
 
 
 class TestVPTree:

@@ -150,8 +150,7 @@ class TestMisbehavingMetrics:
 
 
 class TestDuplicateSaturation:
-    @pytest.mark.parametrize("kind", ["vptree", "mtree", "slimtree", "covertree",
-                                      "balltree", "laesa", "brute"])
+    @pytest.mark.parametrize("kind", [k for k in available_index_kinds() if k != "ckdtree"])
     def test_every_index_survives_duplicates(self, kind):
         """Two distinct inlier values saturate every split heuristic.
 
@@ -193,20 +192,42 @@ class TestStreamingRobustness:
         assert stream.result is not None
 
 
+@pytest.mark.parametrize("kind", available_index_kinds())
 class TestIndexBoundaryQueries:
-    @pytest.mark.parametrize("kind", ["vptree", "covertree", "balltree", "laesa"])
+    """The contract is ``d <= radius`` for every query of every kind: a
+    negative radius finds nothing, zero finds self and exact duplicates,
+    a huge radius finds everything."""
+
     def test_negative_radius_counts_nothing(self, kind):
         rng = np.random.default_rng(7)
         space = MetricSpace(rng.normal(size=(30, 2)))
         idx = build_index(space, kind=kind)
         assert (idx.count_within(np.arange(30), -1.0) == 0).all()
 
-    @pytest.mark.parametrize("kind", ["vptree", "covertree", "balltree", "laesa"])
     def test_huge_radius_counts_everything(self, kind):
         rng = np.random.default_rng(8)
         space = MetricSpace(rng.normal(size=(30, 2)))
         idx = build_index(space, kind=kind)
         assert (idx.count_within(np.arange(30), 1e9) == 30).all()
+
+    @staticmethod
+    def _space_with_duplicates():
+        X = np.random.default_rng(9).normal(size=(30, 2))
+        X[[1, 2]] = X[0]  # elements 0, 1 and 2 coincide
+        return MetricSpace(X)
+
+    def test_count_within_many_boundary_radii(self, kind):
+        idx = build_index(self._space_with_duplicates(), kind=kind)
+        counts = idx.count_within_many(np.arange(30), [-1.0, 0.0, 1e9])
+        assert (counts[:, 0] == 0).all()
+        assert counts[:, 1].tolist() == [3, 3, 3] + [1] * 27
+        assert (counts[:, 2] == 30).all()
+
+    def test_pairs_within_boundary_radii(self, kind):
+        idx = build_index(self._space_with_duplicates(), kind=kind)
+        assert idx.pairs_within(-1.0) == []
+        assert sorted(idx.pairs_within(0.0)) == [(0, 1), (0, 2), (1, 2)]
+        assert len(set(idx.pairs_within(1e9))) == 30 * 29 // 2
 
 
 class TestConvenienceEntrypoint:
