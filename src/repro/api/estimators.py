@@ -70,7 +70,7 @@ from repro.baselines.dbout import resolve_radius
 from repro.baselines.lof import lof_fit_arrays, lof_score_against
 from repro.core.mccatch import BatchScores, McCatch, McCatchModel
 from repro.engine import count_within_to, knn_to
-from repro.io.models import MODEL_FORMAT as MCCATCH_MODEL_FORMAT
+from repro.io.models import MODEL_FORMATS as MCCATCH_MODEL_FORMATS
 from repro.io.models import model_from_payload
 from repro.metric.base import MetricSpace
 from repro.metric.vector import vector_metric
@@ -425,8 +425,8 @@ _MODEL_KINDS: dict[str, type[_ArrayModel]] = {
 def load_model(path, *, mmap: bool = False) -> FittedModel:
     """Load any model saved through the unified API (format-dispatching).
 
-    Handles both the McCatch archive
-    (:data:`repro.io.models.MODEL_FORMAT`) and the generic baseline
+    Handles both the McCatch archives
+    (:data:`repro.io.models.MODEL_FORMATS`) and the generic baseline
     archive (:data:`API_MODEL_FORMAT`).  ``mmap=True`` serves the
     arrays as read-only maps of the (uncompressed) archive, so many
     scoring processes share one on-disk copy.
@@ -441,7 +441,7 @@ def load_model(path, *, mmap: bool = False) -> FittedModel:
         with np.load(Path(path), allow_pickle=False) as npz:
             payload = MappedArchive({key: np.asarray(npz[key]) for key in npz.files})
     fmt = str(payload["format"][()]) if "format" in payload else None
-    if fmt == MCCATCH_MODEL_FORMAT:
+    if fmt in MCCATCH_MODEL_FORMATS:
         core = model_from_payload(payload)
         return McCatchServingModel(core.spec, core)
     if fmt == API_MODEL_FORMAT:

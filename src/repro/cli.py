@@ -369,11 +369,12 @@ def _print_published(record) -> None:
 def _default_index_into_spec(spec: str, index: str):
     """A McCatch spec that does not pin ``index=`` gets ``index`` filled in.
 
-    The spec default is ``auto``, which picks the non-persistable
-    compiled kd-tree — the one choice the persistence commands never
-    want.  Both ``fit`` and the registry side of ``score`` apply the
-    same rewrite, so the spec a user fits with is the spec they
-    resolve with.
+    The spec default is ``auto``.  Every fitted vector model saves
+    whatever its index (the archive holds the inlier VP-tree), so the
+    rewrite no longer guards persistence; it stays because published
+    specs carry the filled-in index.  Both ``fit`` and the registry
+    side of ``score`` apply the same rewrite, so the spec a user fits
+    with is the spec they resolve with.
     """
     from repro.api import make_estimator, parse_spec
     from repro.api.estimators import McCatchEstimator
@@ -502,7 +503,7 @@ def _cmd_fit(args) -> int:
 
             default_out = f"{parse_spec(model.spec)[0]}_model.npz"
             print(f"model saved to {model.save(args.output or default_out)}")
-    except TypeError as exc:  # e.g. a non-flat index kind
+    except TypeError as exc:  # e.g. an object-metric model
         raise SystemExit(f"error: {exc}") from exc
     return 0
 

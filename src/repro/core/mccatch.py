@@ -22,10 +22,11 @@ from repro.core.gel import spot_microclusters
 from repro.core.oracle import build_oracle_plot
 from repro.core.radii import define_radii
 from repro.core.result import McCatchResult
-from repro.core.scoring import point_score, score_microclusters
-from repro.engine import check_engine_mode, nearest_distances_to
-from repro.index.base import MetricIndex
+from repro.core.scoring import build_inlier_index, point_scores, score_microclusters
+from repro.engine import check_engine_mode
+from repro.index.base import MetricIndex, nearest_walk
 from repro.index.factory import build_index
+from repro.index.vptree import VPTree
 from repro.metric.base import MetricSpace
 from repro.metric.transformation import (
     transformation_cost_for_strings,
@@ -152,18 +153,26 @@ class McCatch:
         """Run McCatch and return a reusable fitted model.
 
         Same computation as :meth:`fit`, but the returned
-        :class:`McCatchModel` keeps the fitted space, the built index
-        and the result together, so it can score held-out batches
-        (:meth:`McCatchModel.score_batch`) and be persisted with
+        :class:`McCatchModel` keeps the fitted space, the inlier VP-tree
+        of Alg. 4 and the result together, so it can score held-out
+        batches (:meth:`McCatchModel.score_batch`) and be persisted with
         :meth:`McCatchModel.save` / :meth:`McCatchModel.load` — fit
         once, serve many.
         """
         space = data if isinstance(data, MetricSpace) else MetricSpace(data, metric)
-        result, tree = self._fit_space(space)
-        return McCatchModel(space, tree, result)
+        result, tree, inlier_index = self._fit_space(space)
+        if inlier_index is None and result.n_outliers == 0 and isinstance(tree, VPTree):
+            inlier_index = tree  # every element is an inlier: the fit tree serves
+        return McCatchModel(space, inlier_index, result)
 
-    def _fit_space(self, space: MetricSpace) -> tuple[McCatchResult, MetricIndex]:
-        """Alg. 1 over a prepared space; returns the result and the tree."""
+    def _fit_space(
+        self, space: MetricSpace
+    ) -> tuple[McCatchResult, MetricIndex, MetricIndex | None]:
+        """Alg. 1 over a prepared space.
+
+        Returns the result, the fit tree, and Alg. 4's inlier VP-tree
+        (``None`` when Alg. 4 built none).
+        """
         if space.is_vector:
             check_finite(space.data)
         n = len(space)
@@ -194,7 +203,7 @@ class McCatch:
             # ladder exists and nothing can be anomalous.  Return the
             # empty verdict instead of failing deep in the substrate —
             # streaming windows and trivial inputs hit this legitimately.
-            return _degenerate_result(n, self.n_radii), tree
+            return _degenerate_result(n, self.n_radii), tree, None
         radii = define_radii(tree, self.n_radii)
 
         # Step II: 'Oracle' plot (Alg. 2).
@@ -218,19 +227,18 @@ class McCatch:
         )
 
         # Step IV: anomaly scores (Alg. 4).
-        microclusters, point_scores = score_microclusters(
+        microclusters, scores, inlier_index = score_microclusters(
             space, clusters, oracle,
-            transformation_cost=t, index_kind=self.index,
-            engine_mode=self.engine_mode, workers=self.workers,
+            transformation_cost=t, engine_mode=self.engine_mode, workers=self.workers,
         )
         result = McCatchResult(
             microclusters=microclusters,
-            point_scores=point_scores,
+            point_scores=scores,
             oracle=oracle,
             cutoff=cutoff,
             n=n,
         )
-        return result, tree
+        return result, tree, inlier_index
 
     def fit_scores(self, data, metric: Callable | None = None) -> np.ndarray:
         """Per-point anomaly scores W only (baseline-compatible view)."""
@@ -304,12 +312,12 @@ class BatchScores:
 
 
 class McCatchModel:
-    """A fitted McCatch: space + index + result, ready to serve.
+    """A fitted McCatch: space + inlier tree + result, ready to serve.
 
     Returned by :meth:`McCatch.fit_model`.  Keeps the three fitted
     artifacts together so held-out batches can be scored against the
     model (:meth:`score_batch`, the same provisional scorer streaming
-    uses between refits), and — because the index is flat array-backed
+    uses between refits), and — because the tree is flat array-backed
     — the whole model persists to a single ``.npz``
     (:meth:`save` / :meth:`load`; vector spaces only, since a custom
     object metric cannot be serialized).
@@ -319,8 +327,9 @@ class McCatchModel:
     space:
         The fitted :class:`~repro.metric.base.MetricSpace`.
     index:
-        The tree built over it (``None`` for a scoring-only model,
-        e.g. the streaming scorer's).
+        A VP-tree over the model's inliers (Alg. 4's inlier index), or
+        ``None`` to build one here — the streaming scorer and archives
+        of the first model format take that path.
     result:
         The :class:`~repro.core.result.McCatchResult` of the fit.
     spec:
@@ -338,16 +347,13 @@ class McCatchModel:
         spec: str | None = None,
     ):
         self.space = space
-        self.index = index
         self.result = result
         self.spec = spec
-        inlier_mask = np.ones(result.n, dtype=bool)
-        if result.outlier_indices.size:
-            inlier_mask[result.outlier_indices] = False
-        inlier_ids = np.nonzero(inlier_mask)[0]
-        if inlier_ids.size == 0:  # degenerate: everything was an outlier
-            inlier_ids = np.arange(result.n)
-        self._inlier_ids = inlier_ids
+        if index is None:
+            index = build_inlier_index(space, result.outlier_indices)
+        if index is None:  # degenerate: everything was an outlier
+            index = build_index(space, kind="vptree")
+        self.index = index
 
     @property
     def n(self) -> int:
@@ -359,12 +365,18 @@ class McCatchModel:
 
         ``g`` = distance to the nearest element the model considers an
         inlier; score = ⟨1 + g/r₁⟩ (Alg. 4 line 22); flagged iff
-        ``g ≥ d``.  Costs O(|inliers|) distances per element, run as
-        blocked bulk kernels via the batch engine
-        (:func:`repro.engine.nearest_distances_to`).  Deterministic:
+        ``g ≥ d``.  ``g`` comes from an exact nearest-element walk
+        over the inlier tree (:func:`repro.index.base.nearest_walk`),
+        equal bit for bit to scanning every inlier.  Deterministic:
         the same batch scores identically before and after a
-        save/load round trip.
+        save/load round trip.  A bare ``str`` or ``bytes`` batch is a
+        ``TypeError``: pass a list of elements.
         """
+        if isinstance(batch, (str, bytes)):
+            raise TypeError(
+                "score_batch takes a batch of elements, got a bare "
+                f"{type(batch).__name__}; wrap one element in a list"
+            )
         if self.space.is_vector:
             rows = check_finite(
                 as_batch_rows(batch, self.space.dimensionality), name="batch"
@@ -376,13 +388,14 @@ class McCatchModel:
         r1 = float(self.result.oracle.radii[0])
         if r1 <= 0.0:  # degenerate fit: no radius ladder, nothing anomalous
             return BatchScores(np.zeros(len(rows)), np.zeros(0, dtype=np.intp))
-        g = nearest_distances_to(self.space, rows, self._inlier_ids)
-        scores = np.array([point_score(float(gi), r1) for gi in g], dtype=np.float64)
+        # self.space, not self.index.space: a server swaps in a counting
+        # proxy here, and the walk's distances must be counted there.
+        g = nearest_walk(self.space, rows, self.index.flat)
         flagged = np.nonzero(g >= self.result.cutoff.value)[0].astype(np.intp)
-        return BatchScores(scores, flagged)
+        return BatchScores(point_scores(g, r1), flagged)
 
     def save(self, path) -> "Path":
-        """Persist the model (index arrays + data + result) to one ``.npz``."""
+        """Persist the model (inlier tree + data + result) to one ``.npz``."""
         from repro.io.models import save_model
 
         return save_model(self, path)
@@ -391,7 +404,7 @@ class McCatchModel:
     def load(cls, path, *, mmap: bool = False) -> "McCatchModel":
         """Load a model saved by :meth:`save`.
 
-        ``mmap=True`` memory-maps the index arrays and data matrix off
+        ``mmap=True`` memory-maps the tree arrays and data matrix off
         the archive so concurrent scorers share one on-disk model (see
         :func:`repro.io.models.load_model`).
         """
@@ -400,9 +413,8 @@ class McCatchModel:
         return load_model(path, mmap=mmap)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        kind = type(self.index).__name__ if self.index is not None else "none"
         return (
-            f"McCatchModel(n={self.n}, index={kind}, "
+            f"McCatchModel(n={self.n}, inliers={len(self.index)}, "
             f"microclusters={len(self.result.microclusters)})"
         )
 

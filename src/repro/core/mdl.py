@@ -39,9 +39,14 @@ def universal_code_length(z: int | float) -> float:
 
 
 def universal_code_lengths(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Vectorized ⟨z⟩ over an array of values (clamped to >= 1)."""
+    """Vectorized ⟨z⟩ over an array of values (clamped to >= 1).
+
+    :func:`universal_code_length` runs once per distinct value.
+    """
     arr = np.asarray(values, dtype=np.float64)
-    return np.array([universal_code_length(v) for v in arr.ravel()]).reshape(arr.shape)
+    uniq, inverse = np.unique(arr.ravel(), return_inverse=True)
+    table = np.array([universal_code_length(v) for v in uniq.tolist()], dtype=np.float64)
+    return table[inverse].reshape(arr.shape)
 
 
 def cost_of_compression(values: Sequence[int] | np.ndarray) -> float:

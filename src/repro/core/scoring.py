@@ -13,11 +13,29 @@ import math
 
 import numpy as np
 
-from repro.core.mdl import universal_code_length
+from repro.core.mdl import universal_code_length, universal_code_lengths
 from repro.core.result import Microcluster, OraclePlot
 from repro.engine import BatchQueryEngine
+from repro.index.base import MetricIndex
 from repro.index.factory import build_index
 from repro.metric.base import MetricSpace
+
+
+def build_inlier_index(space: MetricSpace, outliers: np.ndarray) -> MetricIndex | None:
+    """The VP-tree over every element outside ``outliers``, or ``None``
+    when nothing is left.
+
+    Alg. 4's join index, whatever index the fit used: range counts are
+    exact for every kind, so ``g`` does not depend on it.  The fitted
+    model keeps this tree to serve ``g`` for held-out rows
+    (:class:`~repro.core.mccatch.McCatchModel`).
+    """
+    inlier_mask = np.ones(len(space), dtype=bool)
+    inlier_mask[outliers] = False
+    inlier_ids = np.nonzero(inlier_mask)[0]
+    if inlier_ids.size == 0:
+        return None
+    return build_index(space, inlier_ids, kind="vptree")
 
 
 def nearest_inlier_distances(
@@ -25,7 +43,7 @@ def nearest_inlier_distances(
     outliers: np.ndarray,
     oracle: OraclePlot,
     *,
-    index_kind: str = "auto",
+    inlier_index: MetricIndex | None = None,
     engine_mode: str = "batched",
     workers: int | None = None,
 ) -> np.ndarray:
@@ -37,25 +55,22 @@ def nearest_inlier_distances(
     outlier).  For each inlier: its own 1NN Distance x_i.
 
     The rung-by-rung ladder scan of Alg. 4 runs through the batch
-    engine: one multi-radius query per outlier in batched mode, the
-    literal shrinking-set loop in per-point mode — identical ``g``
-    either way.
+    engine over ``inlier_index`` (built by :func:`build_inlier_index`
+    when not given): one multi-radius query per outlier in batched
+    mode, the literal shrinking-set loop in per-point mode — identical
+    ``g`` either way.
     """
-    n = len(space)
     radii = oracle.radii
     g = np.array(oracle.x, dtype=np.float64)  # inliers: g_i = x_i
     if outliers.size == 0:
         return g
-
-    inlier_mask = np.ones(n, dtype=bool)
-    inlier_mask[outliers] = False
-    inlier_ids = np.nonzero(inlier_mask)[0]
-    if inlier_ids.size == 0:
+    if inlier_index is None:
+        inlier_index = build_inlier_index(space, outliers)
+    if inlier_index is None:
         g[outliers] = radii[-1]
         return g
 
-    inlier_tree = build_index(space, inlier_ids, kind=index_kind)
-    engine = BatchQueryEngine(inlier_tree, mode=engine_mode, workers=workers)
+    engine = BatchQueryEngine(inlier_index, mode=engine_mode, workers=workers)
     first = engine.first_nonempty_radius(outliers, radii)
     g[outliers] = radii[-1]  # default: no inlier neighbor within l
     # First radius with an inlier neighbor: g is one rung below.
@@ -106,16 +121,28 @@ def point_score(g_i: float, r1: float) -> float:
     return universal_code_length(1 + _ceil_ratio(g_i, r1))
 
 
+def point_scores(g: np.ndarray, r1: float) -> np.ndarray:
+    """:func:`point_score` over an array, bit for bit.
+
+    ⌈g / r1⌉ runs as array operations with the snap of
+    :func:`_ceil_ratio` (``np.rint`` rounds half to even, like
+    ``round``), and ⟨·⟩ is evaluated once per distinct integer.
+    """
+    ratio = np.asarray(g, dtype=np.float64) / r1
+    nearest = np.rint(ratio)
+    snap = np.abs(ratio - nearest) <= 1e-9 * np.maximum(1.0, np.abs(nearest))
+    return universal_code_lengths(1.0 + np.where(snap, nearest, np.ceil(ratio)))
+
+
 def score_microclusters(
     space: MetricSpace,
     clusters: list[np.ndarray],
     oracle: OraclePlot,
     *,
     transformation_cost: float,
-    index_kind: str = "auto",
     engine_mode: str = "batched",
     workers: int | None = None,
-) -> tuple[list[Microcluster], np.ndarray]:
+) -> tuple[list[Microcluster], np.ndarray, MetricIndex | None]:
     """Alg. 4: scores per microcluster (ranked) and per point.
 
     Returns
@@ -126,6 +153,9 @@ def score_microclusters(
         then longer bridge, for determinism).
     point_scores:
         Array W of per-point scores, higher = more anomalous.
+    inlier_index:
+        The inlier VP-tree the scan ran over (:func:`build_inlier_index`),
+        or ``None`` when there were no outliers or no inliers.
     """
     n = len(space)
     radii = oracle.radii
@@ -135,9 +165,10 @@ def score_microclusters(
         if clusters
         else np.array([], dtype=np.intp)
     )
+    inlier_index = build_inlier_index(space, outliers) if outliers.size else None
     g = nearest_inlier_distances(
         space, outliers, oracle,
-        index_kind=index_kind, engine_mode=engine_mode, workers=workers,
+        inlier_index=inlier_index, engine_mode=engine_mode, workers=workers,
     )
 
     microclusters: list[Microcluster] = []
@@ -159,5 +190,4 @@ def score_microclusters(
         key=lambda m: (-m.score, m.cardinality, -m.bridge_length, int(m.indices[0]))
     )
 
-    point_scores = np.array([point_score(float(gi), r1) for gi in g], dtype=np.float64)
-    return microclusters, point_scores
+    return microclusters, point_scores(g, r1), inlier_index

@@ -231,6 +231,11 @@ class StreamingMcCatch:
     # -- internals -----------------------------------------------------------
 
     def _coerce_batch(self, batch) -> list:
+        if isinstance(batch, (str, bytes)):
+            raise TypeError(
+                "update takes a batch of elements, got a bare "
+                f"{type(batch).__name__}; wrap one element in a list"
+            )
         if isinstance(batch, np.ndarray) and np.issubdtype(batch.dtype, np.number):
             arr = np.asarray(batch, dtype=np.float64)
             if arr.ndim == 1:
@@ -263,9 +268,9 @@ class StreamingMcCatch:
         served batch score, and a loaded-model score are one code
         path: ``g`` =
         distance to the nearest model inlier, score = ⟨1 + g/r₁⟩
-        (Alg. 4 line 22), flagged iff ``g ≥ d``.  Costs O(|inliers|)
-        distances per element — the price of freshness between refits —
-        run as blocked bulk kernels, not a per-element Python loop.
+        (Alg. 4 line 22), flagged iff ``g ≥ d``.  The model builds its
+        inlier VP-tree once per refit; each element then costs one
+        nearest-inlier walk over it.
         """
         if self._model is None:
             if self._is_vector:

@@ -1,15 +1,16 @@
 """Batched nearest-neighbor workloads on top of the engine substrate.
 
-Two workloads the query-heavy baselines and the streaming scorer need
-beyond range counts:
+Nearest-neighbor workloads beyond range counts, for the query-heavy
+baselines and as test references:
 
 - :func:`knn_distances` — each indexed point's k nearest neighbors
   (self excluded), served by scipy's compiled kd-tree when the index
   is the Euclidean fast path and by chunked pairwise-distance blocks
   otherwise;
 - :func:`nearest_distances_to` — nearest-indexed-element distance for
-  out-of-dataset query objects (the streaming provisional scorer),
-  again as blocked bulk distances instead of a per-object Python loop.
+  out-of-dataset query objects by scanning every candidate in blocked
+  bulk distances: the brute-force oracle that tests hold the model's
+  nearest-inlier walk (:func:`repro.index.base.nearest_walk`) to.
 """
 
 from __future__ import annotations
@@ -68,7 +69,10 @@ def nearest_distances_to(
     ``indices`` selects the candidate elements of ``space``; the result
     has one entry per object.  Vector spaces answer each chunk with one
     bulk distance block; object spaces pay the honest per-pair metric
-    cost but still avoid per-object dispatch overhead.
+    cost but still avoid per-object dispatch overhead.  Every candidate
+    is scanned, so this is the reference the exact tree walk
+    (:func:`repro.index.base.nearest_walk`) must equal bit for bit;
+    model scoring runs the walk.
     """
     idx = np.asarray(indices, dtype=np.intp)
     if idx.size == 0:

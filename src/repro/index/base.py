@@ -32,14 +32,17 @@ level-synchronous :func:`level_count_walk` — the whole frontier of one
 depth becomes flat ``(node, query, lo, hi)`` arrays, so each level
 costs one grouped distance computation, a few batched ``searchsorted``
 calls and bincount scatters, O(depth) NumPy dispatches in all.  Both
-produce bit-identical counts.  Because the layout is
-a handful of primitive NumPy arrays, any fitted index can be persisted
-to a single ``.npz`` (:mod:`repro.io.indexes`) and served without
-rebuilding.
+produce bit-identical counts.  Flat trees also answer exact
+nearest-element queries for out-of-dataset rows with
+:func:`nearest_walk`, the held-out scorer's ``g``.  Because the layout
+is a handful of primitive NumPy arrays, any fitted index can be
+persisted to a single ``.npz`` (:mod:`repro.io.indexes`) and served
+without rebuilding.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -1159,15 +1162,25 @@ def count_walk(
     cost is this one ``None`` check — the walk itself is untouched
     either way, so counts stay bit-identical with telemetry on.
     """
+    return _observed(lambda st: _run_walk(space, query_ids, radii, tree, st), stats)
+
+
+def _observed(run, stats):
+    """``run(stats)``, merged into the process walk sink when one is set.
+
+    The telemetry shell of :func:`count_walk` and :func:`nearest_walk`:
+    with the sink off it is one ``None`` check; with it on, the walk's
+    stats delta and wall time merge into the sink once per call.
+    """
     sink = _obs_hooks.WALK
     if sink is None:
-        return _run_walk(space, query_ids, radii, tree, stats)
+        return run(stats)
     local = stats if stats is not None else {}
     # Callers may reuse one stats dict across calls, so merge only this
     # call's delta into the process sink.
     before = dict(local)
     started = time.perf_counter()
-    out = _run_walk(space, query_ids, radii, tree, local)
+    out = run(local)
     elapsed = time.perf_counter() - started
     delta = {k: v - before.get(k, 0) for k, v in local.items()}
     sink.merge(delta, walks=1, seconds=elapsed)
@@ -1183,8 +1196,193 @@ def _run_walk(space, query_ids, radii, tree, stats):
     return level_count_walk(space, query_ids, radii, tree, stats=stats)
 
 
+#: Query rows per :func:`nearest_walk` pass: bounds the frontier and
+#: the leaf-pair expansion of very large batches.
+_NEAREST_CHUNK = 2048
+
+#: Unit round-off of float64.
+_U64 = 2.0**-53
+
+
+def nearest_walk(space: MetricSpace, rows, tree: FlatTree, *, stats: dict | None = None):
+    """Distance from each out-of-dataset row to its nearest element of ``tree``.
+
+    An exact k=1 search, level-synchronous like the count walk: each
+    query first dives greedily to one leaf (the near side of every VP
+    split), which gives it a starting bound, and parks the subtrees it
+    passed by.  The parked entries then advance one frontier level per
+    step.  A node is dropped when a triangle-inequality lower bound
+    (the VP threshold, the covering radius, or a leaf member's
+    ``d_elem``) exceeds the query's current best by the round-off slack
+    of :func:`_nearest_slack`, so the element holding the minimum is
+    always measured.  Every distance goes through
+    :meth:`~repro.metric.base.MetricSpace.paired_distances_to`, whose
+    entries equal the brute-force block entries bit for bit, so the
+    result is exactly the brute-force minimum
+    (:func:`repro.engine.nearest_distances_to`).
+
+    ``space`` must hold ``tree``'s elements; pass the caller's space (a
+    counting proxy included) so the walk's distances are seen where the
+    caller counts them.  ``stats`` accumulates ``steps``, ``entries``
+    and ``distance_calls``, merged into the telemetry walk sink like
+    :func:`count_walk`'s.
+    """
+    return _observed(lambda st: _nearest_run(space, rows, tree, st), stats)
+
+
+def _nearest_run(space, rows, tree, stats):
+    """:func:`nearest_walk` without the telemetry shell, in query chunks."""
+    if space.is_vector:
+        rows = np.asarray(rows, dtype=np.float64)
+    if stats is not None:
+        for key in ("steps", "entries", "distance_calls"):
+            stats.setdefault(key, 0)
+    out = np.empty(len(rows), dtype=np.float64)
+    for start in range(0, len(rows), _NEAREST_CHUNK):
+        block = rows[start : start + _NEAREST_CHUNK]
+        out[start : start + len(block)] = _nearest_block(space, block, tree, stats)
+    return out
+
+
+def _nearest_slack(space, rows, tree):
+    """``(slack, rel)``: the walk drops an entry only when its lower
+    bound exceeds ``best * (1 + rel) + slack[query]``.
+
+    Each bound combines three computed distances.  For vectors the
+    worst case is the cancellation of the einsum expansion
+    ``‖q‖² + ‖x‖² − 2 q·x`` near ``d = 0``: it loses up to
+    ``(dim + 3)`` ulps of ``(‖q‖ + ‖x‖)²``, so one distance is off by at
+    most ``sqrt((dim + 4) u) (‖q‖ + ‖x‖)``; the other L_p sums are far
+    more accurate.  The slack therefore grows with the query norm as
+    well as the data norm, like the brackets of
+    :meth:`~repro.metric.base.MetricSpace.float32_coords`.  Every
+    indexed ``‖x‖`` is at most ``‖c_root‖ + k R_root``, with
+    ``k = sqrt(dim)`` for ``p > 2``, where an L_p radius understates the
+    ℓ2 spread.  Object metrics get a relative slack: every distance the
+    walk compares is at most ``best + 2 R_root``.  The factor 8 is
+    headroom on worst-case bounds.
+    """
+    r_root = float(tree.radius[0])
+    if space.is_vector:
+        dim = rows.shape[1]
+        k = 1.0 if space.metric.p <= 2.0 else math.sqrt(dim)
+        c = space.data[tree.center[0]]
+        x_max = math.sqrt(float(np.dot(c, c))) + k * r_root
+        q = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        return 8.0 * math.sqrt((dim + 4) * _U64) * (q + 2.0 * x_max), 0.0
+    return np.full(len(rows), 2e-9 * r_root), 1e-9
+
+
+def _nearest_block(space, rows, tree, stats):
+    """One chunk of :func:`nearest_walk`: the dive, then the parked entries."""
+    m = len(rows)
+    best = np.full(m, np.inf)
+    slack, rel = _nearest_slack(space, rows, tree)
+    parked: list = []
+    fr = (np.zeros(m, dtype=np.intp), np.arange(m, dtype=np.intp), np.zeros(m))
+    while fr[0].size:
+        fr = _nearest_step(space, rows, tree, best, slack, rel, fr, stats, parked)
+    if parked:
+        fr = tuple(np.concatenate(parts) for parts in zip(*parked))
+        while fr[0].size:
+            fr = _nearest_step(space, rows, tree, best, slack, rel, fr, stats, None)
+    return best
+
+
+def _nearest_live(best, slack, rel, pos, lb):
+    """Entries whose bound can still beat their query's best (a best of
+    exactly 0 cannot be beaten)."""
+    b = best[pos]
+    return (lb <= b * (1.0 + rel) + slack[pos]) & (b > 0.0)
+
+
+def _nearest_distances(space, rows, pos, ids, stats):
+    """``d(rows[pos[k]], ids[k])`` through the caller's space."""
+    if stats is not None:
+        stats["distance_calls"] += 1
+    if isinstance(rows, np.ndarray):
+        return space.paired_distances_to(rows[pos], ids)
+    return space.paired_distances_to([rows[p] for p in pos.tolist()], ids)
+
+
+def _nearest_step(space, rows, tree, best, slack, rel, frontier, stats, parked):
+    """Advance one :func:`nearest_walk` frontier ``(nodes, pos, lb)``.
+
+    Measures every surviving entry's center (centers are indexed
+    elements, so each is a candidate), tightens the entry's bound with
+    the covering radius, scans the leaves, and expands the internal
+    nodes: into every child, or, during the dive (``parked`` is a
+    list), into one child per query while the others are parked.
+    """
+    nodes, pos, lb = frontier
+    live = np.flatnonzero(_nearest_live(best, slack, rel, pos, lb))
+    nodes, pos, lb = nodes.take(live), pos.take(live), lb.take(live)
+    if stats is not None:
+        stats["steps"] += 1
+        stats["entries"] += nodes.size
+    if not nodes.size:
+        return nodes, pos, lb
+    d = _nearest_distances(space, rows, pos, tree.center.take(nodes), stats)
+    np.minimum.at(best, pos, d)
+    lb = np.maximum(lb, d - tree.radius.take(nodes))
+    live = _nearest_live(best, slack, rel, pos, lb)
+    leaf = tree.child_lo.take(nodes) == tree.child_hi.take(nodes)
+    lf = np.flatnonzero(live & leaf)
+    if lf.size:
+        _nearest_leaves(
+            space, rows, tree, best, slack, rel,
+            nodes.take(lf), pos.take(lf), d.take(lf), stats,
+        )
+    inner = np.flatnonzero(live & ~leaf)
+    nodes, pos, lb, d = nodes.take(inner), pos.take(inner), lb.take(inner), d.take(inner)
+    lo = tree.child_lo.take(nodes)
+    if tree.vp_split:
+        t = tree.threshold.take(nodes)
+        lb_in = np.maximum(lb, d - t)  # inside members: d(c, x) <= t
+        lb_out = np.maximum(lb, t - d)  # outside members: d(c, x) > t
+        if parked is None:
+            return (
+                np.concatenate([lo, lo + 1]),
+                np.concatenate([pos, pos]),
+                np.concatenate([lb_in, lb_out]),
+            )
+        out = d > t  # the query's own side
+        parked.append((lo + (~out), pos, np.where(out, lb_in, lb_out)))
+        return lo + out, pos, np.where(out, lb_out, lb_in)
+    counts = tree.child_hi.take(nodes) - lo
+    if parked is None:
+        return concat_ranges(lo, counts), np.repeat(pos, counts), np.repeat(lb, counts)
+    rest = counts - 1
+    more = rest > 0
+    parked.append((
+        concat_ranges(lo[more] + 1, rest[more]), np.repeat(pos, rest), np.repeat(lb, rest)
+    ))
+    return lo, pos, lb
+
+
+def _nearest_leaves(space, rows, tree, best, slack, rel, nodes, pos, d, stats):
+    """Measure the leaf members no ``d_elem`` bound rules out.
+
+    ``d`` holds each entry's distance to its leaf center, already
+    folded into ``best``, so the center itself is skipped.
+    """
+    b = tree.elem_hi.take(nodes) - tree.elem_lo.take(nodes)
+    mpos = concat_ranges(tree.elem_lo.take(nodes)[b > 0], b[b > 0])
+    eidx = np.repeat(np.arange(nodes.size, dtype=np.intp), b)
+    members = tree.elems.take(mpos)
+    keep = members != tree.center.take(nodes).take(eidx)
+    if tree.d_elem is not None:
+        limit = best.take(pos) * (1.0 + rel) + slack.take(pos)
+        keep &= np.abs(d.take(eidx) - tree.d_elem.take(mpos)) <= limit.take(eidx)
+    sel = np.flatnonzero(keep)
+    if sel.size:
+        q = pos.take(eidx.take(sel))
+        np.minimum.at(best, q, _nearest_distances(space, rows, q, members.take(sel), stats))
+
+
 class FlatQueryMixin:
-    """Count queries answered by :func:`count_walk` over ``self.flat``.
+    """Count queries answered by :func:`count_walk` over ``self.flat``,
+    nearest-element queries by :func:`nearest_walk`.
 
     Mixed into every flat-backed index; requires ``self.space`` and a
     ``self.flat`` :class:`FlatTree`.
@@ -1204,6 +1402,11 @@ class FlatQueryMixin:
         query_ids = np.asarray(query_ids, dtype=np.intp)
         radii = check_radii_ascending(radii)
         return count_walk(self.space, query_ids, radii, self.flat)
+
+    def nearest_to(self, rows) -> np.ndarray:
+        """Distance from each out-of-dataset row (``(q, d)`` vectors, or
+        objects) to its nearest indexed element: :func:`nearest_walk`."""
+        return nearest_walk(self.space, rows, self.flat)
 
 
 class FrozenIndex(FlatQueryMixin, MetricIndex):

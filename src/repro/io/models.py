@@ -1,13 +1,19 @@
 """Fitted McCatch model persistence: fit once, serve many.
 
 A :class:`~repro.core.mccatch.McCatchModel` bundles the fitted space,
-the flat array-backed index, and the result.  All three serialize to
-one ``np.savez`` archive: the index payload of
-:mod:`repro.io.indexes` (which already embeds the vector data and
-metric), plus the result as the same JSON document
+the VP-tree over its inliers that serves held-out scores, and the
+result.  All three serialize to one ``np.savez`` archive: the tree
+payload of :mod:`repro.io.indexes` (which already embeds the vector
+data and metric), plus the result as the same JSON document
 :func:`repro.io.results.save_result_json` writes — so a loaded model
 answers :meth:`~repro.core.mccatch.McCatchModel.score_batch`
-identically to the one that was saved.
+identically to the one that was saved.  Every fitted vector model
+saves, whatever index its fit used.
+
+Archives of the first format (:data:`MODEL_FORMAT_V1`) hold the fit
+tree over all elements instead; they still load, and the inlier tree
+is rebuilt from their data.  The walk is exact, so their scores do not
+change.
 
 Vector spaces only: a custom object metric (strings, trees) is a
 Python callable and cannot be serialized; persist those fits as
@@ -26,25 +32,23 @@ from repro.io.indexes import INDEX_FORMAT, frozen_from_payload, index_payload
 from repro.io.results import result_from_dict, result_to_dict
 
 #: Schema tag written into every serialized model.
-MODEL_FORMAT = "repro.mccatch-model.v1"
+MODEL_FORMAT = "repro.mccatch-model.v2"
+#: The first format, which stored the fit tree; loadable, no longer written.
+MODEL_FORMAT_V1 = "repro.mccatch-model.v1"
+#: Every model format :func:`model_from_payload` reads.
+MODEL_FORMATS = (MODEL_FORMAT, MODEL_FORMAT_V1)
 
 
 def save_model(model: McCatchModel, path: str | Path) -> Path:
-    """Persist a fitted model to a single ``.npz`` archive.
+    """Persist a fitted model, with its inlier tree, to one ``.npz``.
 
-    Requires a vector space (see module docstring) and a flat-backed
-    index — the ``"auto"`` Euclidean default builds scipy's cKDTree,
-    so fit with an explicit metric tree
-    (``McCatch(index="vptree")`` or any of vptree / balltree /
-    covertree / mtree / slimtree) to save the model.
+    Requires a vector space (see module docstring).
     """
     if not model.space.is_vector:
         raise TypeError(
             "only vector-space models can be saved: a custom object metric "
             "is a Python callable and cannot be serialized"
         )
-    if model.index is None:
-        raise TypeError("model has no index to persist (scoring-only model)")
     payload = index_payload(model.index, include_data=True)
     payload["format"] = np.str_(MODEL_FORMAT)
     payload["index_format"] = np.str_(INDEX_FORMAT)
@@ -65,7 +69,7 @@ def model_from_payload(payload) -> McCatchModel:
     or a :class:`repro.io.mmap.MappedArchive`.
     """
     fmt = str(payload["format"][()]) if "format" in payload else None
-    if fmt != MODEL_FORMAT:
+    if fmt not in MODEL_FORMATS:
         raise ValueError(f"unsupported model format: {fmt!r}")
     index_arrays = {
         k: payload[k] for k in payload.files if k not in ("format", "spec")
@@ -74,13 +78,17 @@ def model_from_payload(payload) -> McCatchModel:
     index = frozen_from_payload(index_arrays)
     result = result_from_dict(json.loads(str(payload["result_json"][()])))
     spec = str(payload["spec"][()]) if "spec" in payload else None
+    if fmt == MODEL_FORMAT_V1:
+        # The stored tree is the fit tree over all elements; the model
+        # builds its inlier tree from the same data.
+        return McCatchModel(index.space, None, result, spec=spec)
     return McCatchModel(index.space, index, result, spec=spec)
 
 
 def load_model(path: str | Path, *, mmap: bool = False) -> McCatchModel:
     """Load a model saved by :func:`save_model`.
 
-    ``mmap=True`` serves the index arrays and data matrix as read-only
+    ``mmap=True`` serves the tree arrays and data matrix as read-only
     memory maps of the archive (uncompressed containers only — see
     :func:`repro.io.mmap.open_npz_mmap`), so concurrent scoring
     processes share one on-disk model instead of materializing copies.

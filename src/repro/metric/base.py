@@ -146,6 +146,28 @@ class MetricSpace:
                 out[row, col] = self.metric(obj, self.data[j])
         return out
 
+    def paired_distances_to(self, rows, indices: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Row-aligned distances from out-of-dataset objects to elements.
+
+        ``out[k] = distance(rows[k], data[indices[k]])`` — the primitive
+        the nearest-element walk measures each query against its
+        frontier nodes with.  Vector spaces route through
+        :meth:`VectorMetric.paired`, whose entries are bitwise equal to
+        the :meth:`distances_to_many` block entries (never a BLAS
+        matmul); object spaces call the metric once per pair.
+        """
+        idx = np.asarray(indices, dtype=np.intp)
+        if len(rows) != idx.size:
+            raise ValueError(
+                f"paired_distances_to needs equal lengths, got {len(rows)} and {idx.size}"
+            )
+        if self.is_vector:
+            return self._vm.paired(np.asarray(rows, dtype=np.float64), self.data[idx])
+        return np.array(
+            [self.metric(obj, self.data[j]) for obj, j in zip(rows, idx)],
+            dtype=np.float64,
+        )
+
     def paired_distances(
         self, left: Sequence[int] | np.ndarray, right: Sequence[int] | np.ndarray
     ) -> np.ndarray:

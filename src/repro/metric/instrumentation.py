@@ -64,10 +64,11 @@ class CountingMetricSpace(MetricSpace):
     Pass it anywhere a MetricSpace is accepted — ``build_index``,
     ``McCatch.fit``, the joins, or a served model's space.
 
-    With ``timed=True`` the out-of-dataset bulk paths
-    (:meth:`distances_to`, :meth:`distances_to_many` — the serving
-    score path) additionally accumulate their wall time into
-    ``counter.seconds``; the default skips the clock reads entirely.
+    With ``timed=True`` the out-of-dataset paths (:meth:`distances_to`,
+    :meth:`distances_to_many` and :meth:`paired_distances_to`, the
+    last being the serving score walk's) additionally accumulate their
+    wall time into ``counter.seconds``; the default skips the clock
+    reads entirely.
     An existing counter may be passed so several proxies (e.g. the
     spaces of successive hot-swapped model generations) share one
     monotonic tally.
@@ -112,9 +113,19 @@ class CountingMetricSpace(MetricSpace):
         return out
 
     def distances_to_many(self, objs, indices):
-        """Counted out-of-dataset block distances (the serving path)."""
+        """Counted out-of-dataset block distances."""
         t0 = time.perf_counter() if self.timed else 0.0
         out = self._inner.distances_to_many(objs, indices)
+        if self.timed:
+            self.counter.seconds += time.perf_counter() - t0
+        self.counter.bulk_calls += 1
+        self.counter.bulk_pairs += int(out.size)
+        return out
+
+    def paired_distances_to(self, rows, indices):
+        """Counted out-of-dataset row-aligned distances (the serving walk)."""
+        t0 = time.perf_counter() if self.timed else 0.0
+        out = self._inner.paired_distances_to(rows, indices)
         if self.timed:
             self.counter.seconds += time.perf_counter() - t0
         self.counter.bulk_calls += 1

@@ -10,8 +10,7 @@ tier and collects *spans* — named ``(start, end)`` intervals on the
 - ``engine_batch`` — the engine batch this request rode in being
   scored (shared by every coalesced request of the batch),
 - ``walk`` — the innermost metric-kernel portion of that batch (the
-  nearest-inlier distance scan for serving; frontier walks when the
-  scoring path runs them),
+  distance evaluations of the nearest-inlier walk when serving),
 - ``respond`` — encoding and flushing the response bytes.
 
 The spans share one clock and one origin (trace creation), so their

@@ -22,8 +22,8 @@ headers, ``Content-Length`` body, keep-alive).  Three endpoints:
 
 Telemetry rides each ``/score`` request as a
 :class:`~repro.obs.tracing.RequestTrace`: parse → queue wait → engine
-batch → walk (the inner distance-kernel share of the batch) →
-respond, emitted as one JSON access-log line per request when
+batch → walk (the distance evaluations of the batch's nearest-inlier
+walk) → respond, emitted as one JSON access-log line per request when
 ``repro serve --log-level info`` configures the serving loggers.
 Scores are bit-identical with telemetry on or off — the only hook on
 the numeric path is a counting proxy that delegates to the same

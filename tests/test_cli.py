@@ -170,7 +170,17 @@ class TestFitScore:
             loaded.score_batch(held).scores, direct.score_batch(held).scores
         )
 
-    def test_fit_rejects_non_flat_index(self, csv_file, tmp_path):
-        with pytest.raises(SystemExit, match="FlatTree"):
-            main(["fit", str(csv_file), "--index", "ckdtree",
-                  "-o", str(tmp_path / "m.npz")])
+    def test_fit_saves_ckdtree_model(self, csv_file, blob_with_mc, tmp_path):
+        """A cKDTree fit saves: the archive holds the inlier VP-tree."""
+        from repro import McCatch, McCatchModel
+
+        model_path = tmp_path / "m.npz"
+        assert main(["fit", str(csv_file), "--index", "ckdtree",
+                     "-o", str(model_path)]) == 0
+        X, _ = blob_with_mc
+        direct = McCatch(index="ckdtree").fit_model(X)
+        held = np.vstack([X[:10], [[50.0, -50.0]]])
+        assert np.array_equal(
+            McCatchModel.load(model_path).score_batch(held).scores,
+            direct.score_batch(held).scores,
+        )

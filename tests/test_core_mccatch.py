@@ -140,6 +140,15 @@ class TestFitOnObjects:
         pair = [m for m in result.microclusters if set(map(int, m.indices)) == {100, 101}]
         assert len(pair) == 1
 
+    def test_bare_string_batch_rejected(self):
+        """score_batch("SMITH") is one element, not five characters."""
+        names = ["SMITH", "SMYTH", "SMITT", "SMITHE"] * 25 + ["XQWZKJY", "XQWZKJX"]
+        model = McCatch(index="vptree").fit_model(names, levenshtein)
+        for bare in ("SMITH", b"SMITH"):
+            with pytest.raises(TypeError, match="bare"):
+                model.score_batch(bare)
+        assert model.score_batch(["SMITH"]).scores.tolist() == [0.0]
+
     def test_transformation_cost_autodetected_for_strings(self):
         det = McCatch()
         space = MetricSpace(["AB", "CD"], levenshtein)

@@ -152,14 +152,17 @@ class TestModelRoundTrip:
         assert loaded.result.cutoff.value == model.result.cutoff.value
 
     def test_loaded_index_counts_match(self, fitted, tmp_path):
+        """The archive holds the inlier tree: its counts are brute
+        force's over the inlier ids, before and after the round trip."""
         X, _, model = fitted
         loaded = load_model(save_model(model, tmp_path / "m.npz"))
+        inliers = np.setdiff1d(np.arange(len(X)), model.result.outlier_indices)
+        assert np.array_equal(loaded.index.ids, inliers)
         q = np.arange(len(X))
         radii = model.result.oracle.radii
-        assert np.array_equal(
-            loaded.index.count_within_many(q, radii),
-            model.index.count_within_many(q, radii),
-        )
+        expected = BruteForceIndex(model.space, inliers).count_within_many(q, radii)
+        assert np.array_equal(loaded.index.count_within_many(q, radii), expected)
+        assert np.array_equal(model.index.count_within_many(q, radii), expected)
 
     def test_flags_the_planted_outlier(self, fitted):
         _, held, model = fitted
@@ -181,12 +184,18 @@ class TestModelRoundTrip:
         with pytest.raises(TypeError, match="vector-space"):
             save_model(model, tmp_path / "m.npz")
 
-    def test_non_flat_index_model_rejected(self, tmp_path):
+    def test_ckdtree_model_round_trip(self, tmp_path):
+        """A cKDTree fit (the Euclidean default) saves: the archive holds
+        the inlier VP-tree, not the fit tree."""
         rng = np.random.default_rng(1)
-        X = rng.normal(size=(80, 2))
-        model = McCatch(index="ckdtree").fit_model(X)
-        with pytest.raises(TypeError, match="no FlatTree storage"):
-            save_model(model, tmp_path / "m.npz")
+        X = np.vstack([rng.normal(size=(80, 2)), [[9.0, 9.0]]])
+        held = np.vstack([rng.normal(size=(20, 2)), [[9.0, 9.1]]])
+        model = McCatch().fit_model(X)
+        for mmap in (False, True):
+            loaded = load_model(save_model(model, tmp_path / "m.npz"), mmap=mmap)
+            before, after = model.score_batch(held), loaded.score_batch(held)
+            assert np.array_equal(before.scores, after.scores)
+            assert np.array_equal(before.flagged, after.flagged)
 
     def test_streaming_scorer_matches_model_scorer(self, fitted):
         """The streaming provisional scorer is score_batch — same numbers."""

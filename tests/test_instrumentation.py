@@ -59,6 +59,18 @@ class TestAccounting:
         sub.distance(0, 1)
         assert counted_vectors.counter.total == 1
 
+    def test_paired_distances_to_counted_and_timed(self, counted_vectors):
+        counted_vectors.counter.reset()
+        rows = np.zeros((6, 2))
+        out = counted_vectors.paired_distances_to(rows, np.arange(6))
+        assert np.array_equal(out, counted_vectors._inner.paired_distances_to(rows, np.arange(6)))
+        assert counted_vectors.counter.bulk_pairs == 6
+        assert counted_vectors.counter.bulk_calls == 1
+        assert counted_vectors.counter.seconds == 0.0  # untimed proxy
+        timed = CountingMetricSpace(counted_vectors._inner, timed=True)
+        timed.paired_distances_to(rows, np.arange(6))
+        assert timed.counter.bulk_pairs == 6 and timed.counter.seconds > 0.0
+
     def test_object_space_wrapping(self):
         words = ["abc", "abd", "xyz", "xyw"] * 5
         proxy = CountingMetricSpace(MetricSpace(words, levenshtein))

@@ -128,3 +128,26 @@ class TestPairedDistances:
         space = MetricSpace(np.zeros((4, 2)))
         with pytest.raises(ValueError, match="equal lengths"):
             space.paired_distances([0, 1], [2])
+
+
+class TestPairedDistancesTo:
+    @pytest.mark.parametrize("metric", ["euclidean", "cityblock", "chebyshev", 3])
+    def test_vector_matches_block_entries_bitwise(self, metric):
+        rng = np.random.default_rng(3)
+        space = MetricSpace(rng.normal(size=(30, 5)) * 100.0, metric)
+        rows = np.vstack([rng.normal(size=(8, 5)), space.data[:4]])
+        ids = rng.integers(0, 30, size=rows.shape[0])
+        block = space.distances_to_many(rows, np.arange(30))
+        paired = space.paired_distances_to(rows, ids)
+        assert np.array_equal(paired, block[np.arange(rows.shape[0]), ids])
+        assert (paired[8:][ids[8:] == np.arange(4)] == 0.0).all()
+
+    def test_object_space(self):
+        space = MetricSpace(["AB", "AC", "BX"], levenshtein)
+        out = space.paired_distances_to(["AB", "ZZZ", "BX"], [1, 0, 2])
+        assert out.tolist() == [1.0, 3.0, 0.0]
+
+    def test_length_mismatch_rejected(self):
+        space = MetricSpace(np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="equal lengths"):
+            space.paired_distances_to(np.zeros((2, 2)), [1])

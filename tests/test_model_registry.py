@@ -125,12 +125,16 @@ class TestPublishResolve:
         assert record.path.name == "model.npz"
         assert not list(record.path.parent.glob("*.tmp"))
 
-    def test_failed_save_releases_the_claimed_version(self, dataset, tmp_path):
-        # a McCatch model over the non-flat auto kd-tree cannot be
-        # saved; the claimed version dir must be released, not leaked
+    def test_failed_save_releases_the_claimed_version(self, tmp_path):
+        # an object-metric McCatch model cannot be saved (its metric is
+        # a Python callable); the claimed version dir must be released,
+        # not leaked
+        from repro.metric.strings import levenshtein
+
         registry = ModelRegistry(tmp_path / "reg")
-        bad = make_estimator("mccatch").fit(dataset)  # index=auto -> ckdtree
-        with pytest.raises(TypeError, match="FlatTree"):
+        words = ["SMITH", "SMYTH", "SMITT", "JONES"] * 10 + ["XQWZKJY"]
+        bad = make_estimator("mccatch").fit(words, levenshtein)
+        with pytest.raises(TypeError, match="vector-space"):
             registry.publish(bad)
         assert not list(registry.root.rglob("v*"))  # claim released
         assert not list(registry.root.rglob("*.tmp"))

@@ -31,7 +31,7 @@ from repro import McCatch
 from repro.core.radii import define_radii
 from repro.engine import BatchQueryEngine
 from repro.index import build_index
-from repro.index.base import UNKNOWN_COUNT, count_walk
+from repro.index.base import UNKNOWN_COUNT, count_walk, nearest_walk
 from repro.metric.base import MetricSpace
 from repro.obs import (
     MetricsRegistry,
@@ -272,6 +272,20 @@ class TestProcessSinks:
         assert merged["seconds"] > 0.0
         for key, value in stats.items():
             assert merged[key] == float(value)
+
+    def test_nearest_walks_merge_into_the_sink(self, sinks, walk_setup):
+        """The serving walk feeds the same sink, so the walk families
+        move while a server scores."""
+        walk, _ = sinks
+        space, tree, _, _ = walk_setup
+        rows = np.random.default_rng(3).normal(size=(15, 3))
+        stats = {}
+        nearest_walk(space, rows, tree, stats=stats)
+        merged = walk.as_dict()
+        assert merged["walks"] == 1.0
+        assert merged["seconds"] > 0.0
+        for key in ("steps", "entries", "distance_calls"):
+            assert merged[key] == float(stats[key]) > 0
 
     def test_reused_stats_dict_is_not_double_counted(self, sinks, walk_setup):
         walk, _ = sinks

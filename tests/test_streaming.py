@@ -149,6 +149,18 @@ class TestObjectStream:
         with pytest.raises(TypeError, match="vector data"):
             stream.update(["abc"])
 
+    def test_bare_string_batch_rejected(self):
+        """A bare string is one element, not a batch of characters: it
+        must neither score per character nor enter the window as such."""
+        stream = StreamingMcCatch(McCatch(index="vptree"), metric=levenshtein)
+        stream.update(["SMITH", "SMYTH", "SMITT", "JONES"] * 10)
+        window = list(stream.window_data)
+        for bare in ("SMITH", b"SMITH"):
+            with pytest.raises(TypeError, match="bare"):
+                stream.update(bare)
+        assert stream.window_data == window
+        assert stream.update(["SMITH"]).n_new == 1
+
 
 class TestEmptyAndEdge:
     def test_empty_batch_noop(self):
