@@ -20,14 +20,17 @@ from repro.index.base import UNKNOWN_COUNT
 def explain_point(result: McCatchResult, index: int, *, max_cardinality: int | None = None) -> str:
     """A prose explanation of why point ``index`` was (or wasn't) flagged.
 
-    Reconstructs the point's plateaus from the stored counts and relates
-    its 1NN / Group-1NN rungs to the cutoff.
+    Reconstructs the point's plateaus from the stored counts, with the
+    ``b`` and ``c`` the fit used (``max_cardinality`` overrides ``c``),
+    and relates its 1NN / Group-1NN rungs to the cutoff.
     """
     o = result.oracle
     if not 0 <= index < result.n:
         raise IndexError(f"point index {index} out of range for n={result.n}")
-    c = max_cardinality if max_cardinality is not None else max(1, int(np.ceil(0.1 * result.n)))
-    plateaus = find_plateaus(o.counts[index], o.radii, max_slope=0.1, max_cardinality=c)
+    c = o.max_cardinality if max_cardinality is None else max_cardinality
+    plateaus = find_plateaus(
+        o.counts[index], o.radii, max_slope=o.max_slope, max_cardinality=c
+    )
     cut = result.cutoff.index
     lines = [f"point {index}:"]
     counts_str = " ".join("?" if v == UNKNOWN_COUNT else str(v) for v in o.counts[index])

@@ -62,11 +62,12 @@ class McCatch:
         :func:`repro.index.available_index_kinds`.
     engine_mode:
         Execution plan for the neighborhood workloads:
-        ``"batched"`` (default; single-descent multi-radius queries via
-        :class:`repro.engine.BatchQueryEngine`), ``"per_point"`` (the
-        reference one-query-per-radius plan), or ``"parallel"`` (the
-        batched walks sharded across a persistent worker pool — see
-        :class:`repro.engine.ShardedWalkExecutor`; requires a
+        ``"batched"`` (default; the sparse-focused schedule of
+        :class:`repro.engine.BatchQueryEngine`, one or a few rungs per
+        walk depending on the input), ``"per_point"`` (the reference
+        plan: one rung per walk), or ``"parallel"`` (the schedule
+        sharded across a persistent worker pool, one task per shard —
+        see :class:`repro.engine.ShardedWalkExecutor`; requires a
         flat-backed ``index`` such as ``"vptree"`` to actually fan
         out).  Results are bit-for-bit identical across all modes;
         only wall-clock differs.
@@ -203,7 +204,7 @@ class McCatch:
             # ladder exists and nothing can be anomalous.  Return the
             # empty verdict instead of failing deep in the substrate —
             # streaming windows and trivial inputs hit this legitimately.
-            return _degenerate_result(n, self.n_radii), tree, None
+            return _degenerate_result(n, self.n_radii, self.max_slope, c), tree, None
         radii = define_radii(tree, self.n_radii)
 
         # Step II: 'Oracle' plot (Alg. 2).
@@ -266,7 +267,9 @@ class McCatch:
         return 1.0  # unknown object space; caller should supply t (Def. 7)
 
 
-def _degenerate_result(n: int, n_radii: int) -> McCatchResult:
+def _degenerate_result(
+    n: int, n_radii: int, max_slope: float, max_cardinality: int
+) -> McCatchResult:
     """The empty verdict for zero-diameter data (see McCatch.fit)."""
     from repro.core.result import CutoffInfo, OraclePlot
 
@@ -279,6 +282,8 @@ def _degenerate_result(n: int, n_radii: int) -> McCatchResult:
         middle_end_index=none.copy(),
         radii=np.zeros(n_radii, dtype=np.float64),
         counts=np.full((n, n_radii), n, dtype=np.int64),
+        max_slope=max_slope,
+        max_cardinality=max_cardinality,
     )
     cutoff = CutoffInfo(
         value=float("inf"),

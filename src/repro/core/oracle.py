@@ -34,7 +34,8 @@ def build_oracle_plot(
     radii:
         The radius ladder ``R``.
     max_slope, max_cardinality:
-        Hyperparameters ``b`` and ``c``.
+        Hyperparameters ``b`` and ``c``; the plot records both, so its
+        plateaus can be re-derived from its counts.
     sparse_focused:
         Apply the sparse-focused principle (skip counts already known
         to exceed ``c``).  Disable only for ablation; results are
@@ -63,4 +64,6 @@ def build_oracle_plot(
         middle_end_index=middle_end,
         radii=np.asarray(radii),
         counts=counts,
+        max_slope=float(max_slope),
+        max_cardinality=int(max_cardinality),
     )

@@ -128,23 +128,63 @@ def analyze_counts(
     plateau does not exist) identify each plateau value with its end
     radius, the approximation of footnotes 1-2 that Def. 4 relies on
     for binning and that the Cutoff comparisons reuse.
+
+    Runs :func:`find_plateaus`, :func:`first_plateau` and
+    :func:`middle_plateau` for every row at once, one radius column at
+    a time, with the same arithmetic: ``math.log2`` of each distinct
+    count, so every value equals the per-row functions' bit for bit.
     """
+    counts = np.asarray(counts)
     n = counts.shape[0]
+    a = len(radii)
     x = np.zeros(n, dtype=np.float64)
     y = np.zeros(n, dtype=np.float64)
     first_end = np.full(n, -1, dtype=np.intp)
     middle_end = np.full(n, -1, dtype=np.intp)
-    a = len(radii)
-    for i in range(n):
-        plateaus = find_plateaus(
-            counts[i], radii, max_slope=max_slope, max_cardinality=max_cardinality
-        )
-        fp = first_plateau(plateaus)
-        if fp is not None:
-            x[i] = fp.length
-            first_end[i] = fp.end
-        mp = middle_plateau(plateaus, a)
-        if mp is not None:
-            y[i] = mp.length
-            middle_end[i] = mp.end
+    if n == 0 or a < 2:
+        return x, y, first_end, middle_end
+    radii = np.asarray(radii)
+    log_r = np.log2(radii)
+    # log2 of each distinct count, indexed by count + 1; an unknown
+    # count stays NaN, so every slope touching it fails ``<= b`` (steep
+    # by convention).
+    log_q = np.full(int(counts.max()) + 2, np.nan)
+    seen = np.zeros(log_q.size, dtype=bool)
+    seen[counts + 1] = True
+    for v in np.nonzero(seen[1:])[0]:
+        log_q[v + 1] = math.log2(v)
+    run_start = np.full(n, -1, dtype=np.intp)
+    middle_len = np.zeros(n, dtype=np.float64)
+    left = log_q[counts[:, 0] + 1]
+    for e in range(a):
+        if e < a - 1:
+            right = log_q[counts[:, e + 1] + 1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                flat = (right - left) / (log_r[e + 1] - log_r[e]) <= max_slope
+            left = right
+        else:
+            flat = np.zeros(n, dtype=bool)
+        # Maximal runs of flat slopes close at radius e (Def. 1).
+        rows = np.nonzero((run_start >= 0) & ~flat)[0]
+        run_start[flat & (run_start < 0)] = e
+        if rows.size == 0:
+            continue
+        start = run_start[rows]
+        run_start[rows] = -1
+        height = counts[rows, start]
+        length = radii[e] - radii[start]
+        kept = (height >= 1) & (height <= max_cardinality)
+        # Def. 2: the first height-1 plateau.
+        first = kept & (height == 1) & (first_end[rows] < 0)
+        x[rows[first]] = length[first]
+        first_end[rows[first]] = e
+        # Def. 3: the longest taller plateau not touching the last
+        # radius; a later run ends further out, so it wins length ties.
+        if e < a - 1:
+            mid = kept & (height > 1) & (
+                (middle_end[rows] < 0) | (length >= middle_len[rows])
+            )
+            middle_len[rows[mid]] = length[mid]
+            middle_end[rows[mid]] = e
+    y[middle_end >= 0] = middle_len[middle_end >= 0]
     return x, y, first_end, middle_end

@@ -69,6 +69,10 @@ class OraclePlot:
         Neighbor counts per point per radius
         (:data:`~repro.index.base.UNKNOWN_COUNT` where the
         sparse-focused principle skipped the join).
+    max_slope, max_cardinality:
+        The ``b`` and ``c`` the plateaus were found with, so the
+        plateaus can be re-derived from ``counts``
+        (:func:`repro.core.explain.explain_point`).
     """
 
     x: np.ndarray
@@ -77,6 +81,8 @@ class OraclePlot:
     middle_end_index: np.ndarray
     radii: np.ndarray
     counts: np.ndarray
+    max_slope: float
+    max_cardinality: int
 
     def __len__(self) -> int:
         return int(self.x.size)

@@ -5,18 +5,20 @@ McCatch core (:mod:`repro.core`).  Indexes answer point queries;
 McCatch asks *workload*-shaped questions — "count every point's
 neighbors at every radius of the ladder", "find each outlier's first
 radius with an inlier", "materialize the outlier pairs".  The
-:class:`BatchQueryEngine` owns those workloads: it batches them into
-single-descent multi-radius queries (or chunked distance blocks on the
-brute-force path), applies the paper's Sec. IV-G scheduling principles,
-and keeps a ``mode="per_point"`` reference executor that reproduces the
-historical one-query-at-a-time plan bit for bit — the differential
-tests in ``tests/test_engine.py`` hold the two to exact equality.
+:class:`BatchQueryEngine` owns those workloads: it runs SELFJOINC as
+one sparse-focused schedule loop (the paper's Sec. IV-G principles)
+whose walks answer one rung each where the float32 rect leaf kernel
+applies and blocks of rungs elsewhere, and keeps a ``mode="per_point"``
+reference plan (one rung per walk on every index) — the differential
+tests in ``tests/test_engine.py`` and ``tests/test_selfjoin_schedule.py``
+hold every plan to exact equality.
 
 ``mode="parallel"`` layers :mod:`repro.engine.parallel` on top: the
-query set of every multi-radius walk shards across a persistent worker
-pool, with counts still bit-identical.  The pool follows the data —
-threads over the shared flat arrays for vector metrics, mmap-attached
-processes for object metrics — and ``workers`` is the only setting.
+query set shards across a persistent worker pool and each shard runs
+the whole schedule as one task, with counts still bit-identical.  The
+pool follows the data — threads over the shared flat arrays for vector
+metrics, mmap-attached processes for object metrics — and ``workers``
+is the only setting.
 """
 
 from repro.engine.executor import (

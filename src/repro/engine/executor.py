@@ -1,43 +1,43 @@
 """The batch query executor: plans and runs neighborhood workloads.
 
 McCatch's cost is dominated by the SELFJOINC of Alg. 2 — every point
-range-counted at every radius of the ladder.  Executed naively that is
-``n × a`` independent tree descents.  :class:`BatchQueryEngine` turns
-the same workload into *one* descent per point that answers all radii
-at once (``MetricIndex.count_within_many`` — on the metric trees a
-single multi-radius walk over their
-:class:`~repro.index.base.FlatTree` arrays, with every leaf bucket a
-slice of the shared element permutation), with chunked
-pairwise-distance blocks on the brute-force/vector path, and owns the
-paper's Sec. IV-G scheduling principles (sparse-focused,
-small-radii-only).
+range-counted at every radius of the ladder — under the sparse-focused
+principle of Sec. IV-G: a point stops being joined once its count
+exceeds ``c``.  :class:`BatchQueryEngine` runs that recursion as one
+schedule loop, :func:`sparse_focused_schedule`: each walk answers the
+next ``width`` rungs for the points still active, and a point whose
+count exceeded ``c`` is dropped before the next walk.
 
-Two execution modes, selected at construction:
+The width follows the input (:meth:`BatchQueryEngine.rungs_per_walk`;
+measurements in the :data:`RADIUS_BLOCK_SIZE` comment):
 
-- ``"batched"`` (default) — multi-radius single-walk queries.  The
-  sparse-focused principle runs at *radius-block* granularity: the
-  ladder is processed a few rungs at a time, each block as one
-  multi-radius walk over the still-active points, and a point whose
-  count exceeded ``c`` inside a block is dropped before the next —
-  so the expensive top-of-the-ladder rungs are only ever joined for
-  still-sparse points, preserving the principle's distance savings.
-  Entries the per-point schedule would never have computed (the tail
-  of the block where a point first exceeded ``c``) are blanked, so
-  outputs are bit-for-bit identical to ``"per_point"``.
-- ``"per_point"`` — the reference executor: one ``count_within`` pass
-  per radius with the literal active-set recursion.  Kept for
-  differential testing and for the ablation benches that measure what
-  batching buys.
-- ``"parallel"`` — the batched plan with the multi-radius walks
-  sharded across a persistent worker pool
+- one rung per walk — the literal Alg. 2 recursion — where the float32
+  rect leaf kernel settles single-rung leaves (a flat tree over a space
+  whose ``float32_coords()`` is not ``None``: Euclidean vectors of at
+  most 64 dims), for an index without a multi-radius walk (scipy's
+  cKDTree), and in ``mode="per_point"``;
+- blocks of :data:`RADIUS_BLOCK_SIZE` rungs everywhere else.  Brute
+  force shares one distance block across the radii of a call; object
+  metrics and the other vector metrics share the upper-level distances
+  of one descent.  Cells of a block past a point's first exceed are
+  blanked to ``UNKNOWN_COUNT``, so the counts equal the one-rung
+  recursion bit for bit.
+
+Three modes, selected at construction:
+
+- ``"batched"`` (default) — the schedule above, serial.
+- ``"per_point"`` — one rung per walk on every index, and the literal
+  shrinking-set rung loop in :meth:`~BatchQueryEngine.first_nonempty_radius`.
+  Kept for differential testing.
+- ``"parallel"`` — the schedule sharded across a persistent worker pool
   (:class:`repro.engine.parallel.ShardedWalkExecutor`): the query-id
-  set splits into contiguous shards, every worker walks its shards
-  over the *same* flat arrays (threads share them in place for vector
-  data; for object metrics, process workers attach to an mmap
-  artifact), and the per-shard count matrices stack back in shard
-  order.  Counts are bit-identical to ``"batched"`` for any worker
-  count.  Requires a flat-backed index; anything else (scipy's
-  cKDTree, brute force) falls back to the serial batched plan.
+  set splits into contiguous shards, and each shard runs the *whole*
+  schedule — every walk, its own drops — as one pool task over the
+  *same* flat arrays (threads share them in place; for object metrics,
+  process workers attach to an mmap artifact).  Rows are independent,
+  so the stacked counts are bit-identical to ``"batched"`` for any
+  worker or shard count.  Requires a flat-backed index; anything else
+  (scipy's cKDTree, brute force) falls back to the serial plan.
 """
 
 from __future__ import annotations
@@ -52,12 +52,27 @@ from repro.obs import hooks as _obs_hooks
 #: Execution modes understood by :class:`BatchQueryEngine`.
 ENGINE_MODES = ("batched", "per_point", "parallel")
 
-#: Ladder rungs each batched SELFJOINC walk answers before the
-#: sparse-focused drop (batched/parallel modes).  Wider blocks share
-#: one descent across more rungs; narrower ones drop dense points
-#: sooner.  On ``make_last_names(400, 20)`` under Levenshtein (VP-tree,
-#: 2-vCPU VM), blocks of 4 took 273k distance evaluations and 16.2 s
-#: where one rung per walk took 505k evaluations and 24.9 s.
+#: Ladder rungs one sparse-focused SELFJOINC walk answers where a
+#: multi-rung walk pays (:meth:`BatchQueryEngine.rungs_per_walk`).
+#: Wider blocks share one descent across more rungs; one rung per walk
+#: drops dense points sooner.  Serial SELFJOINC on a VP-tree, c = 10%
+#: of n, best of 2 on a 2-vCPU VM, counts identical across plans
+#: (blocks of 4 -> one rung per walk; "f32" = ``float32_coords()`` is
+#: not ``None``, the rect kernel applies):
+#:
+#: - ``make_http_like(10_000)``, 3-d Euclidean, f32: 2.31 -> 1.11 s
+#: - uniform 2-d n=10k / clustered 20-d n=5k, f32: 0.86 / 1.28 -> 0.58 / 0.67 s
+#: - clustered 30-d / 50-d / 64-d Euclidean, f32: 1.74 / 1.68 / 3.15 ->
+#:   1.42 / 1.63 / 3.14 s
+#: - clustered 65-d / 80-d / 100-d Euclidean: 3.03 / 4.00 / 5.11 ->
+#:   8.11 / 8.93 / 11.53 s
+#: - clustered 20-d / 64-d cityblock: 1.55 / 6.08 -> 3.77 / 13.22 s
+#: - ``make_http_like`` 3-d cityblock: 6.99 -> 5.15 s (keeps blocks: the
+#:   rule follows the rect kernel, not the metric)
+#: - ``make_http_like`` 3-d, ball / M- / cover tree, f32: 2.95 / 3.11 /
+#:   2.31 -> 2.70 / 3.09 / 2.34 s
+#: - whole fit of ``make_last_names(400, 20)``, Levenshtein: 20.4 s and
+#:   312k distance evaluations -> 37.5 s and 545k
 RADIUS_BLOCK_SIZE = 4
 
 
@@ -74,6 +89,61 @@ def _record_count(queries: int, radii: int) -> None:
     sink = _obs_hooks.ENGINE
     if sink is not None:
         sink.bump(count_calls=1, count_queries=queries, count_entries=queries * radii)
+
+
+def sparse_focused_schedule(
+    count, query_ids: np.ndarray, radii: np.ndarray, max_cardinality: int | None, width: int
+) -> np.ndarray:
+    """Alg. 2's SELFJOINC recursion over one query set, ``width`` rungs per walk.
+
+    ``count(ids, radii)`` answers one walk's ``(q, w)`` count matrix.
+    Each walk covers the next ``width`` rungs of ``radii`` for the rows
+    still active; a row whose count exceeded ``max_cardinality`` is
+    dropped before the next walk, and the cells of its walk past that
+    rung are blanked to ``UNKNOWN_COUNT``, so the ``(q, a)`` result
+    equals the one-rung recursion for every width.  ``max_cardinality
+    None`` drops nothing.  Rows are independent: any split of
+    ``query_ids`` stacks back to the same matrix.
+    """
+    out = np.full((query_ids.size, radii.size), UNKNOWN_COUNT, dtype=np.int64)
+    active = np.arange(query_ids.size)  # rows still being joined
+    for start in range(0, radii.size, width):
+        if active.size == 0:
+            break
+        stop = min(start + width, radii.size)
+        block = np.asarray(count(query_ids[active], radii[start:stop]), dtype=np.int64)
+        if max_cardinality is None:
+            out[active, start:stop] = block
+            continue
+        exceeded = block > max_cardinality
+        if width > 1:
+            # A rung is known iff no earlier rung of this walk exceeded
+            # c (earlier walks already dropped prior exceeders).
+            prior_exceed = np.cumsum(exceeded, axis=1) - exceeded
+            block = np.where(prior_exceed == 0, block, UNKNOWN_COUNT)
+        out[active, start:stop] = block
+        active = active[~exceeded.any(axis=1)]
+    return out
+
+
+def _record_schedule(counts: np.ndarray, width: int) -> None:
+    """Tally the walks and cells a :func:`sparse_focused_schedule` run
+    computed into the engine sink, read off the ``counts`` it returned
+    (process shards cannot reach this process's sink).
+
+    A row's known cells form a prefix; the row took part in every walk
+    up to the one holding its last known cell, and each of those walks
+    computed ``width`` cells for it (the last clipped to the ladder).
+    """
+    sink = _obs_hooks.ENGINE
+    if sink is None or counts.shape[0] == 0:
+        return
+    walks = -(-np.count_nonzero(counts != UNKNOWN_COUNT, axis=1) // width)
+    sink.bump(
+        count_calls=int(walks.max()),
+        count_queries=int(walks.sum()),
+        count_entries=int(np.minimum(walks * width, counts.shape[1]).sum()),
+    )
 
 
 class BatchQueryEngine:
@@ -102,27 +172,24 @@ class BatchQueryEngine:
         mode: str = "batched",
         workers: int | None = None,
     ):
+        from repro.engine.parallel import ShardedWalkExecutor, supports_sharding
+
         self.index = index
         self.mode = check_engine_mode(mode)
         self.workers = workers
+        # FlatTree storage (every metric tree, and a loaded FrozenIndex)
+        # is what a worker pool shares and what the rect leaf kernel
+        # walks.
+        self._flat = supports_sharding(index)
+        # Parallel mode over any other index falls back to the serial
+        # plan rather than failing a workload that still runs correctly.
         self._sharded = None
-        if self.mode == "parallel":
-            from repro.engine.parallel import ShardedWalkExecutor, supports_sharding
-
-            # Parallel mode needs FlatTree storage to share across the
-            # pool; for any other index the batched serial plan is the
-            # best this engine can do, so fall back to it rather than
-            # failing a workload that would still run correctly.
-            if supports_sharding(index):
-                self._sharded = ShardedWalkExecutor(index, workers=workers)
-        # Flat-backed trees (anything carrying a FlatTree, including a
-        # loaded FrozenIndex) override count_within_many with one
-        # multi-radius walk over their arrays, so the batched schedule
-        # pays off.  An index that only inherits the generic
-        # count_within_many (one count_within pass per radius) gains
-        # nothing from it — and would lose the fine-grained
-        # sparse-focused shrinkage — so scheduling decisions fall back
-        # to the per-point plan for it.  scipy's CKDTreeIndex (the
+        if self.mode == "parallel" and self._flat:
+            self._sharded = ShardedWalkExecutor(index, workers=workers)
+        # An index that only inherits the generic count_within_many (one
+        # count_within pass per radius) gains nothing from multi-rung
+        # walks and would lose the per-rung sparse-focused drops, so it
+        # is scheduled one rung at a time.  scipy's CKDTreeIndex (the
         # Euclidean "auto" default) is the prominent case.
         self._walks_batched = (
             type(index).count_within_many is not MetricIndex.count_within_many
@@ -141,25 +208,27 @@ class BatchQueryEngine:
         """Counts for every query at every radius: a ``(q, a)`` matrix.
 
         No scheduling principles applied — every entry is computed.
-        Batched mode issues one multi-radius descent per query;
-        parallel mode shards those descents across the worker pool;
-        per-point mode stacks one ``count_within`` pass per radius.
+        Batched mode answers every radius in one walk (parallel mode:
+        one walk per shard); per-point mode walks one radius at a time.
         """
         query_ids = np.asarray(query_ids, dtype=np.intp)
         radii = check_radii_ascending(radii)
-        if self.mode == "per_point":
-            out = np.empty((query_ids.size, radii.size), dtype=np.int64)
-            for e in range(radii.size):
-                out[:, e] = self._count_single(query_ids, float(radii[e]))
-            return out
-        _record_count(query_ids.size, radii.size)
+        width = 1 if self.mode == "per_point" else radii.size
+        return self._schedule(query_ids, radii, None, width)
+
+    def _schedule(self, query_ids, radii, max_cardinality, width) -> np.ndarray:
+        """:func:`sparse_focused_schedule` through the index (or its
+        shards), tallied into the engine sink."""
         if self._sharded is not None:
-            return np.asarray(
-                self._sharded.count_within_many(query_ids, radii), dtype=np.int64
+            counts = self._sharded.schedule_counts(
+                query_ids, radii, max_cardinality=max_cardinality, width=width
             )
-        return np.asarray(
-            self.index.count_within_many(query_ids, radii), dtype=np.int64
-        )
+        else:
+            counts = sparse_focused_schedule(
+                self.index.count_within_many, query_ids, radii, max_cardinality, width
+            )
+        _record_schedule(counts, width)
+        return counts
 
     def _count_single(self, query_ids, radius: float) -> np.ndarray:
         """One-radius counts through the index."""
@@ -193,72 +262,40 @@ class BatchQueryEngine:
             raise ValueError("need at least two radii")
         if np.any(np.diff(radii) <= 0):
             raise ValueError("radii must be strictly increasing")
-        if self.mode == "per_point" or not self._walks_batched:
-            return self._self_join_counts_per_point(
-                radii,
-                max_cardinality=max_cardinality,
-                sparse_focused=sparse_focused,
-                small_radii_only=small_radii_only,
-            )
         index = self.index
         n = len(index)
         a = radii.size
-        counts = np.full((n, a), UNKNOWN_COUNT, dtype=np.int64)
         joined = a - 1 if small_radii_only else a  # columns actually joined
-        if not (sparse_focused and max_cardinality is not None):
-            counts[:, :joined] = self.multi_radius_counts(index.ids, radii[:joined])
-            if small_radii_only:
-                counts[:, a - 1] = n
-            return counts
-        # Sparse-focused, block-batched: each block of rungs is one
-        # multi-radius walk over the still-active points; points whose
-        # count exceeded c inside a block are dropped before the next,
-        # and the block tail past a point's first exceed is blanked so
-        # the output matches the per-point schedule exactly.
-        active = np.arange(n)  # positions still being tracked
-        for start in range(0, joined, RADIUS_BLOCK_SIZE):
-            if active.size == 0:
-                break
-            stop = min(start + RADIUS_BLOCK_SIZE, joined)
-            block = self.multi_radius_counts(index.ids[active], radii[start:stop])
-            exceeded = block > max_cardinality
-            # A rung is known iff no earlier rung of this block exceeded
-            # c (earlier blocks already dropped prior exceeders).
-            prior_exceed = np.cumsum(exceeded, axis=1) - exceeded
-            counts[np.ix_(active, np.arange(start, stop))] = np.where(
-                prior_exceed == 0, block, UNKNOWN_COUNT
-            )
-            active = active[~exceeded.any(axis=1)]
+        c = max_cardinality if sparse_focused else None
+        if c is None:  # nothing is dropped: every cell is computed
+            block = self.multi_radius_counts(index.ids, radii[:joined])
+        else:
+            block = self._schedule(index.ids, radii[:joined], c, self.rungs_per_walk())
+        counts = np.full((n, a), UNKNOWN_COUNT, dtype=np.int64)
+        counts[:, :joined] = block
         if small_radii_only:
-            counts[active, a - 1] = n
+            # Small-radii-only principle: at r_a = l everything is a
+            # neighbor of everything, so still-tracked points get n
+            # without a join.
+            tracked = block[:, -1] != UNKNOWN_COUNT
+            if c is not None:
+                tracked &= block[:, -1] <= c
+            counts[tracked, a - 1] = n
         return counts
 
-    def _self_join_counts_per_point(
-        self,
-        radii: np.ndarray,
-        *,
-        max_cardinality: int | None,
-        sparse_focused: bool,
-        small_radii_only: bool,
-    ) -> np.ndarray:
-        """Reference executor: the literal per-radius active-set recursion."""
-        index = self.index
-        n = len(index)
-        a = radii.size
-        counts = np.full((n, a), UNKNOWN_COUNT, dtype=np.int64)
-        active = np.arange(n)  # positions (not ids) still being tracked
-        for e in range(a):
-            if small_radii_only and e == a - 1:
-                # Small-radii-only principle: at r_a = l everything is a
-                # neighbor of everything, no join needed.
-                counts[active, e] = n
-                break
-            if active.size == 0:
-                break
-            counts[active, e] = self._count_single(index.ids[active], float(radii[e]))
-            if sparse_focused and max_cardinality is not None:
-                active = active[counts[active, e] <= max_cardinality]
-        return counts
+    def rungs_per_walk(self) -> int:
+        """Rungs one sparse-focused SELFJOINC walk answers.
+
+        1 where the float32 rect leaf kernel settles single-rung leaves
+        (a flat tree over a space with a ``float32_coords()`` view), for
+        an index without a multi-radius walk, and in ``"per_point"``
+        mode; :data:`RADIUS_BLOCK_SIZE` otherwise.
+        """
+        if self.mode == "per_point" or not self._walks_batched:
+            return 1
+        if self._flat and self.index.space.float32_coords() is not None:
+            return 1
+        return RADIUS_BLOCK_SIZE
 
     # -- JOINC (Alg. 4) ----------------------------------------------------
 

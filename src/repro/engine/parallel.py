@@ -5,9 +5,13 @@ primitive read-only arrays — and the serving layer maps those arrays
 straight off an uncompressed ``.npz`` (:mod:`repro.io.mmap`).  Together they enable
 the classic shared-nothing fan-out of tree-backed similarity systems:
 *shard the queries, share the index*.  :class:`ShardedWalkExecutor`
-splits the query-id set into contiguous shards, runs one
-:func:`~repro.index.base.count_walk` per shard, and stacks the
-per-shard count matrices in shard order.
+splits the query-id set into contiguous shards and runs, per shard, one
+pool task: the whole sparse-focused SELFJOINC schedule of
+:func:`repro.engine.executor.sparse_focused_schedule` (every walk of
+the ladder, with the shard's own drops) over
+:func:`~repro.index.base.count_walk`.  The per-shard count matrices
+stack back in shard order.  A plain multi-radius count is the same
+task with one walk and no drops.
 
 The pool follows the data, with nothing to configure:
 
@@ -21,15 +25,16 @@ The pool follows the data, with nothing to configure:
   arrays: every worker process maps the same physical pages, so an
   index is stored once no matter how many workers count over it.  Only
   the shard ids, the radius ladder and the element payload the
-  artifact cannot embed cross the process boundary per task.  A metric
-  that cannot be pickled (a lambda, a closure) cannot reach a worker
-  process, so its space runs on threads instead.
+  artifact cannot embed cross the process boundary, once per shard.  A
+  metric that cannot be pickled (a lambda, a closure) cannot reach a
+  worker process, so its space runs on threads instead.
 
 Sharding is exact, not approximate: each query row of the count matrix
 depends only on that query (the einsum bulk kernel is bitwise
-shape-independent — see :meth:`repro.metric.vector.VectorMetric.bulk`),
-so the stacked shard results are bit-identical to one serial walk for
-*any* shard count and worker count.  The differential tests in
+shape-independent — see :meth:`repro.metric.vector.VectorMetric.bulk`,
+and a row's drops depend only on its own counts), so the stacked shard
+results are bit-identical to one serial schedule for *any* shard count
+and worker count.  The differential tests in
 ``tests/test_parallel_walk.py`` pin exactly that.
 
 Pools are process-global and persistent: one pool per
@@ -51,12 +56,24 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.engine.executor import sparse_focused_schedule
 from repro.index.base import FlatTree, check_radii_ascending, count_walk
 from repro.metric.base import MetricSpace
 
-#: Shards-per-worker oversubscription: frontier walks cost
-#: different amounts per query (dense regions prune less), so a few
-#: shards per worker lets fast workers absorb the stragglers' tail.
+#: Shards-per-worker oversubscription for schedules that walk several
+#: rungs at a time: frontier walks cost different amounts per query
+#: (dense regions prune less), so a few shards per worker lets fast
+#: workers absorb the stragglers' tail.  A one-rung schedule walks
+#: every rung, and each walk pays a fixed cost (its level loop runs in
+#: Python under the GIL), so it runs one shard per worker instead.
+#: Sharded one-rung SELFJOINC, VP-tree, 2-vCPU VM, best of 3, 4 -> 1
+#: shard per worker: uniform 2-d n=2k 152 -> 50 ms (2 workers);
+#: n=10k 464 / 641 / 1360 -> 339 / 365 / 549 ms (2 / 4 / 8 workers);
+#: ``make_http_like(10_000)`` seeds 0 / 1, 2 workers, 1.09-1.14 /
+#: 1.09-1.13 -> 0.93-1.00 / 0.95-0.96 s.  Blocks of 4 rungs keep 4
+#: shards per worker: one per worker took 2.0-2.4 s against 1.76-1.92 s
+#: on clustered 80-d data and 1.59-1.63 s against 1.33-1.60 s on 20-d
+#: cityblock (n=5k, 2 workers).
 OVERSHARD = 4
 
 
@@ -144,10 +161,21 @@ def _attached_index(path: str, items, metric):
     return index
 
 
-def _count_shard_attached(path, items, metric, query_ids, radii) -> np.ndarray:
-    """One query shard's count matrix, walked over the mmap-attached artifact."""
+def _walk_schedule(space, flat, query_ids, radii, max_cardinality, width) -> np.ndarray:
+    """One query shard's whole schedule, every walk over ``flat``."""
+
+    def walk(ids, rungs):
+        return count_walk(space, ids, rungs, flat)
+
+    return sparse_focused_schedule(walk, query_ids, radii, max_cardinality, width)
+
+
+def _schedule_shard_attached(
+    path, items, metric, query_ids, radii, max_cardinality, width
+) -> np.ndarray:
+    """:func:`_walk_schedule` over the mmap-attached artifact (process workers)."""
     index = _attached_index(path, items, metric)
-    return count_walk(index.space, query_ids, radii, index.flat)
+    return _walk_schedule(index.space, index.flat, query_ids, radii, max_cardinality, width)
 
 
 def _is_mmap_backed(arr) -> bool:
@@ -186,7 +214,7 @@ def attachment_report(path, items, metric) -> dict:
 
 
 class ShardedWalkExecutor:
-    """Multi-worker ``count_within_many`` over one flat-backed index.
+    """Multi-worker count schedules over one flat-backed index.
 
     Parameters
     ----------
@@ -196,13 +224,14 @@ class ShardedWalkExecutor:
         :func:`supports_sharding`.
     workers:
         Worker count (default: the usable core count).  ``workers=1``
-        runs the serial walk inline — no pool, no overhead, so a
+        runs the serial schedule inline — no pool, no overhead, so a
         single-worker configuration never regresses the serial path.
 
-    Each query batch splits into ``OVERSHARD * workers`` shards (capped
-    at the batch size).  ``backend`` records the pool the space
-    selected: ``"process"`` for an object space whose metric pickles,
-    ``"thread"`` otherwise (see the module docstring).
+    Each query batch splits into ``OVERSHARD * workers`` shards (one per
+    worker for a one-rung schedule; capped at the batch size), one pool
+    task each.  ``backend`` records the
+    pool the space selected: ``"process"`` for an object space whose
+    metric pickles, ``"thread"`` otherwise (see the module docstring).
     """
 
     def __init__(self, index, *, workers: int | None = None):
@@ -260,34 +289,53 @@ class ShardedWalkExecutor:
 
     # -- queries -------------------------------------------------------------
 
+    def schedule_counts(
+        self,
+        query_ids: Sequence[int] | np.ndarray,
+        radii: Sequence[float] | np.ndarray,
+        *,
+        max_cardinality: int | None,
+        width: int,
+    ) -> np.ndarray:
+        """:func:`~repro.engine.executor.sparse_focused_schedule`, one
+        pool task per shard.
+
+        The query ids split into contiguous shards — ``OVERSHARD *
+        workers`` of them, or one per worker for a one-rung schedule
+        (see :data:`OVERSHARD`), capped at the query count.  Each task
+        runs the whole schedule for its shard and the results stack in
+        shard order, bit-identical to one serial schedule for every
+        shard count and worker count (see module docstring).
+        """
+        query_ids = np.asarray(query_ids, dtype=np.intp)
+        radii = check_radii_ascending(radii)
+        space, flat = self.index.space, self.index.flat
+        task = (radii, max_cardinality, width)
+        per_worker = OVERSHARD if width > 1 else 1
+        k = min(per_worker * self.workers, query_ids.size)
+        if self.workers == 1 or k <= 1:
+            return _walk_schedule(space, flat, query_ids, *task)
+        shards = np.array_split(query_ids, k)
+        if self.backend == "thread":
+            pool = _get_pool("thread", self.workers)
+            futures = [pool.submit(_walk_schedule, space, flat, shard, *task) for shard in shards]
+        else:
+            path, items = str(self.artifact), list(space.data)
+            pool = _get_pool("process", self.workers)
+            futures = [
+                pool.submit(_schedule_shard_attached, path, items, space.metric, shard, *task)
+                for shard in shards
+            ]
+        return np.vstack([f.result() for f in futures])
+
     def count_within_many(
         self,
         query_ids: Sequence[int] | np.ndarray,
         radii: Sequence[float] | np.ndarray,
     ) -> np.ndarray:
-        """The ``(q, a)`` count matrix, sharded across the worker pool.
-
-        Bit-identical to one serial :func:`~repro.index.base.count_walk`
-        for every shard count and worker count (see module docstring).
-        """
-        query_ids = np.asarray(query_ids, dtype=np.intp)
+        """The ``(q, a)`` count matrix: every radius in one walk per shard."""
         radii = check_radii_ascending(radii)
-        space, flat = self.index.space, self.index.flat
-        k = min(OVERSHARD * self.workers, query_ids.size)
-        if self.workers == 1 or k <= 1:
-            return count_walk(space, query_ids, radii, flat)
-        shards = np.array_split(query_ids, k)
-        if self.backend == "thread":
-            pool = _get_pool("thread", self.workers)
-            futures = [pool.submit(count_walk, space, shard, radii, flat) for shard in shards]
-        else:
-            path, items = str(self.artifact), list(space.data)
-            pool = _get_pool("process", self.workers)
-            futures = [
-                pool.submit(_count_shard_attached, path, items, space.metric, shard, radii)
-                for shard in shards
-            ]
-        return np.vstack([f.result() for f in futures])
+        return self.schedule_counts(query_ids, radii, max_cardinality=None, width=radii.size)
 
     def count_within(
         self, query_ids: Sequence[int] | np.ndarray, radius: float

@@ -10,6 +10,7 @@ original data.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,8 @@ def result_to_dict(result: McCatchResult) -> dict:
             "middle_end_index": [int(v) for v in result.oracle.middle_end_index],
             "radii": [float(v) for v in result.oracle.radii],
             "counts": [[int(c) for c in row] for row in result.oracle.counts],
+            "max_slope": float(result.oracle.max_slope),
+            "max_cardinality": int(result.oracle.max_cardinality),
         },
     }
 
@@ -58,13 +61,19 @@ def result_from_dict(payload: dict) -> McCatchResult:
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported result format version: {version!r}")
+    n = int(payload["n"])
+    plot = payload["oracle"]
     oracle = OraclePlot(
-        x=np.asarray(payload["oracle"]["x"], dtype=np.float64),
-        y=np.asarray(payload["oracle"]["y"], dtype=np.float64),
-        first_end_index=np.asarray(payload["oracle"]["first_end_index"], dtype=np.intp),
-        middle_end_index=np.asarray(payload["oracle"]["middle_end_index"], dtype=np.intp),
-        radii=np.asarray(payload["oracle"]["radii"], dtype=np.float64),
-        counts=np.asarray(payload["oracle"]["counts"], dtype=np.int64),
+        x=np.asarray(plot["x"], dtype=np.float64),
+        y=np.asarray(plot["y"], dtype=np.float64),
+        first_end_index=np.asarray(plot["first_end_index"], dtype=np.intp),
+        middle_end_index=np.asarray(plot["middle_end_index"], dtype=np.intp),
+        radii=np.asarray(plot["radii"], dtype=np.float64),
+        counts=np.asarray(plot["counts"], dtype=np.int64),
+        # Documents written before b and c were recorded carry the
+        # defaults they were explained with: b = 0.1, c = ceil(0.1 n).
+        max_slope=float(plot.get("max_slope", 0.1)),
+        max_cardinality=int(plot.get("max_cardinality", max(1, math.ceil(0.1 * n)))),
     )
     cut = payload["cutoff"]
     cutoff = CutoffInfo(
@@ -88,7 +97,7 @@ def result_from_dict(payload: dict) -> McCatchResult:
         point_scores=np.asarray(payload["point_scores"], dtype=np.float64),
         oracle=oracle,
         cutoff=cutoff,
-        n=int(payload["n"]),
+        n=n,
     )
 
 

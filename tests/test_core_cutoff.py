@@ -30,6 +30,8 @@ def make_oracle(first_end, middle_end=None, n=None):
         middle_end_index=np.asarray(middle_end, dtype=np.intp),
         radii=RADII,
         counts=np.zeros((n, RADII.size), dtype=np.int64),
+        max_slope=0.1,
+        max_cardinality=max(1, n // 10),
     )
 
 

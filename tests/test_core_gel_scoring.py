@@ -14,7 +14,6 @@ from repro.core.scoring import (
     microcluster_score,
     nearest_inlier_distances,
     point_score,
-    score_microclusters,
 )
 from repro.index import build_index
 from repro.metric.base import MetricSpace

@@ -126,3 +126,72 @@ class TestAnalyzeCounts:
         )
         assert x[0] == 0.0 and first_end[0] == -1
         assert y[0] > 0.0  # the height-3 plateau is a middle plateau
+
+
+def scalar_analysis(counts, radii, b, c):
+    """The per-row reference: find_plateaus + first/middle_plateau per point."""
+    n, a = counts.shape[0], len(radii)
+    x, y = np.zeros(n), np.zeros(n)
+    first_end = np.full(n, -1, dtype=np.intp)
+    middle_end = np.full(n, -1, dtype=np.intp)
+    for i in range(n):
+        plateaus = find_plateaus(counts[i], radii, max_slope=b, max_cardinality=c)
+        fp = first_plateau(plateaus)
+        if fp is not None:
+            x[i], first_end[i] = fp.length, fp.end
+        mp = middle_plateau(plateaus, a)
+        if mp is not None:
+            y[i], middle_end[i] = mp.length, mp.end
+    return x, y, first_end, middle_end
+
+
+def assert_same_analysis(counts, radii, b, c):
+    with np.errstate(divide="ignore", invalid="ignore"):  # tie radii: zero log steps
+        expected = scalar_analysis(counts, radii, b, c)
+    got = analyze_counts(counts, radii, max_slope=b, max_cardinality=c)
+    for want, have in zip(expected, got):
+        assert have.dtype == want.dtype
+        assert np.array_equal(have, want)
+
+
+class TestAnalyzeCountsMatchesScalar:
+    """The column-wise analysis equals the per-row functions bit for bit."""
+
+    @pytest.mark.parametrize("b", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("sparse_focused", [True, False])
+    def test_real_fits(self, b, sparse_focused):
+        from repro import McCatch
+        from repro.datasets import make_http_like
+
+        X, _ = make_http_like(1500, random_state=0)
+        oracle = McCatch(max_slope=b, index="vptree", sparse_focused=sparse_focused).fit(X).oracle
+        assert_same_analysis(oracle.counts, oracle.radii, b, oracle.max_cardinality)
+
+    def test_random_count_matrices(self):
+        rng = np.random.default_rng(0)
+        for trial in range(300):
+            n, a = int(rng.integers(1, 40)), int(rng.integers(2, 16))
+            steps = rng.integers(0, 3, (n, a)) * rng.integers(0, 4, (n, a))
+            counts = 1 + np.cumsum(steps, axis=1)
+            c = int(rng.integers(1, 20))
+            for row in counts:  # sparse-focused blanking past the first exceed
+                exceed = np.nonzero(row > c)[0]
+                if exceed.size and rng.random() < 0.7:
+                    row[exceed[0] + 1:] = UNKNOWN_COUNT
+            if trial % 3 == 0:
+                # Integer radii: equal-length middle plateaus, and repeated
+                # (tie) radii with zero log steps.
+                radii = np.maximum.accumulate(np.round(np.cumsum(rng.uniform(0.5, 2.0, a))))
+            else:
+                radii = np.cumsum(rng.uniform(0.1, 2.0, a))
+            b = float(rng.choice([0.0, 0.05, 0.1, 0.3, 1.0]))
+            assert_same_analysis(counts, radii, b, c)
+
+    def test_equal_length_middle_plateaus_keep_the_later_end(self):
+        radii = np.arange(1.0, 10.0)
+        counts = np.array([[1, 1, 4, 4, 9, 9, 20, 40, 80]])
+        x, y, first_end, middle_end = analyze_counts(
+            counts, radii, max_slope=0.0, max_cardinality=30
+        )
+        assert middle_end[0] == 5 and y[0] == 1.0
+        assert_same_analysis(counts, radii, 0.0, 30)

@@ -45,7 +45,7 @@ from repro.obs import (
     validate_exposition,
 )
 from repro.obs import hooks
-from repro.obs.tracing import ACCESS_LOGGER, SPAN_ORDER, JsonLineFormatter
+from repro.obs.tracing import SPAN_ORDER, JsonLineFormatter
 from repro.serve import MicroBatcher, ScoreClient, ScoringServer
 
 SPEC = "mccatch?index=vptree"
@@ -321,17 +321,30 @@ class TestProcessSinks:
 
     @pytest.mark.parametrize("kwargs", [
         {},  # Euclidean "auto": scipy's cKDTree, one count call per rung
-        {"index": "vptree"},  # flat tree: multi-radius walks
+        {"index": "vptree"},  # flat tree over 3-d Euclidean: one rung per walk
         {"index": "vptree", "engine_mode": "per_point"},
+        {"index": "vptree", "engine_mode": "parallel", "workers": 2},
     ])
-    def test_every_fit_reports_the_cells_it_computed(self, sinks, dataset, kwargs):
+    def test_every_fit_reports_the_cells_it_computed(self, sinks, dataset, kwargs, monkeypatch):
+        """Every plan here walks one rung at a time, so SELFJOINC tallies
+        exactly the cells it kept — also when shards run its schedule."""
         _, engine = sinks
+        self_join = BatchQueryEngine.self_join_counts
+        tallied = []
+
+        def spy(eng, radii, **kw):
+            before = engine.get("count_entries")
+            counts = self_join(eng, radii, **kw)
+            tallied.append(engine.get("count_entries") - before)
+            return counts
+
+        monkeypatch.setattr(BatchQueryEngine, "self_join_counts", spy)
         result = McCatch(**kwargs).fit(dataset)
         joined = result.oracle.counts[:, :-1]  # the top rung is never joined
         known = int(np.count_nonzero(joined != UNKNOWN_COUNT))
         assert engine.get("count_calls") > 0
         assert engine.get("count_queries") >= len(dataset)
-        assert engine.get("count_entries") >= known
+        assert tallied == [known]
 
     def test_per_rung_counts_tally_each_computed_cell(self, sinks, dataset):
         """The per-rung plan bumps once per count call, so a SELFJOINC
