@@ -372,7 +372,11 @@ class McCatchModel:
         inlier; score = ⟨1 + g/r₁⟩ (Alg. 4 line 22); flagged iff
         ``g ≥ d``.  ``g`` comes from an exact nearest-element walk
         over the inlier tree (:func:`repro.index.base.nearest_walk`),
-        equal bit for bit to scanning every inlier.  Deterministic:
+        equal bit for bit to scanning every inlier.  For vector models
+        the walk is one call into the compiled kernel per batch, which
+        releases the GIL, so threads can score batches side by side;
+        object metrics and runs without the kernel take the numpy
+        walk.  Each row's score depends on that row alone.  Deterministic:
         the same batch scores identically before and after a
         save/load round trip.  A bare ``str`` or ``bytes`` batch is a
         ``TypeError``: pass a list of elements.

@@ -76,6 +76,29 @@ from repro.metric.base import MetricSpace
 #: cityblock (n=5k, 2 workers).
 OVERSHARD = 4
 
+#: Fewest queries a thread-backed shard of a one-rung schedule may
+#: hold; smaller query sets run fewer shards, or inline.  Every walk of
+#: a shard pays a fixed cost (its level loop under the GIL, and the GIL
+#: hand-offs between threads), which a query repays rung by rung, so a
+#: walk answering ``w`` rungs at once needs only
+#: ``MIN_SHARD_QUERIES / w`` queries per shard.  Two threads against
+#: one inline schedule of twice the queries, VP-tree, 14 rungs, 2-vCPU
+#: VM, best of 9 (shard size: two-shard / inline time):
+#:
+#: - one-rung SELFJOINC, uniform 2-d n=10k: 128: 2.13, 512: 1.30,
+#:   1024: 0.83, 2048: 0.62; ``make_http_like(10_000)``: 128: 1.39,
+#:   256: 1.01, 512: 0.80, 2048: 0.63;
+#: - one multi-radius walk (Alg. 4's ladder scan), ``make_http_like``:
+#:   32: 0.83, 128: 0.67, 512: 0.53; its ~65 outliers took 32 ms inline
+#:   against 57 ms as 8 shards of 8;
+#: - blocks of 4 rungs, 20-d cityblock n=5k: 32: 0.61, 256: 0.56.
+#:
+#: Process-backed shards (object metrics) are exempt: each query costs
+#: Python metric calls, far above a walk's fixed cost (Levenshtein
+#: names, n=210, blocks of 4: 5.6 s inline, 3.8 s as 8 shards of ~26
+#: over 2 processes).  Rows are independent, so no count depends on it.
+MIN_SHARD_QUERIES = 1024
+
 
 def default_workers() -> int:
     """Worker count used when none is requested: the usable core count."""
@@ -228,10 +251,11 @@ class ShardedWalkExecutor:
         single-worker configuration never regresses the serial path.
 
     Each query batch splits into ``OVERSHARD * workers`` shards (one per
-    worker for a one-rung schedule; capped at the batch size), one pool
-    task each.  ``backend`` records the
-    pool the space selected: ``"process"`` for an object space whose
-    metric pickles, ``"thread"`` otherwise (see the module docstring).
+    worker for a one-rung schedule; capped at the batch size, and on
+    threads by :data:`MIN_SHARD_QUERIES`), one pool task each.
+    ``backend`` records the pool the space selected: ``"process"`` for
+    an object space whose metric pickles, ``"thread"`` otherwise (see
+    the module docstring).
     """
 
     def __init__(self, index, *, workers: int | None = None):
@@ -302,7 +326,9 @@ class ShardedWalkExecutor:
 
         The query ids split into contiguous shards — ``OVERSHARD *
         workers`` of them, or one per worker for a one-rung schedule
-        (see :data:`OVERSHARD`), capped at the query count.  Each task
+        (see :data:`OVERSHARD`), capped at the query count and, on
+        threads, at ``queries * width // MIN_SHARD_QUERIES`` (see
+        :data:`MIN_SHARD_QUERIES`); one shard runs inline.  Each task
         runs the whole schedule for its shard and the results stack in
         shard order, bit-identical to one serial schedule for every
         shard count and worker count (see module docstring).
@@ -313,6 +339,8 @@ class ShardedWalkExecutor:
         task = (radii, max_cardinality, width)
         per_worker = OVERSHARD if width > 1 else 1
         k = min(per_worker * self.workers, query_ids.size)
+        if self.backend == "thread":
+            k = min(k, query_ids.size * width // MIN_SHARD_QUERIES)
         if self.workers == 1 or k <= 1:
             return _walk_schedule(space, flat, query_ids, *task)
         shards = np.array_split(query_ids, k)

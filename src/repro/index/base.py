@@ -1207,41 +1207,80 @@ _U64 = 2.0**-53
 def nearest_walk(space: MetricSpace, rows, tree: FlatTree, *, stats: dict | None = None):
     """Distance from each out-of-dataset row to its nearest element of ``tree``.
 
-    An exact k=1 search, level-synchronous like the count walk: each
-    query first dives greedily to one leaf (the near side of every VP
-    split), which gives it a starting bound, and parks the subtrees it
-    passed by.  The parked entries then advance one frontier level per
-    step.  A node is dropped when a triangle-inequality lower bound
-    (the VP threshold, the covering radius, or a leaf member's
-    ``d_elem``) exceeds the query's current best by the round-off slack
-    of :func:`_nearest_slack`, so the element holding the minimum is
-    always measured.  Every distance goes through
-    :meth:`~repro.metric.base.MetricSpace.paired_distances_to`, whose
-    entries equal the brute-force block entries bit for bit, so the
-    result is exactly the brute-force minimum
+    An exact k=1 search.  A node is dropped when a triangle-inequality
+    lower bound (the VP threshold, the covering radius, or a leaf
+    member's ``d_elem``) exceeds the query's current best by the
+    round-off slack of :func:`_nearest_slack`.  Two walks share those
+    bounds:
+
+    - Vector (L_p) spaces, whenever the C kernel loads: one
+      ``repro_nearest`` call per batch walks each row on its own, depth
+      first, near VP child first
+      (:func:`repro.index.ckernel.compiled_nearest_candidates`).  The
+      kernel's distances are not numpy's floats, so it returns every
+      element it measured within the slack of its own best; one
+      :meth:`~repro.metric.base.MetricSpace.paired_distances_to` call
+      re-measures those candidates, and ``g`` is each row's minimum.
+      The slack is at least five times the error of any one distance,
+      which keeps the exact minimiser among the candidates (the proof
+      is above ``repro_nearest`` in ``kernel.c``).  ctypes releases the
+      GIL for the kernel call.
+    - Object metrics, and runs without the kernel (no compiler,
+      ``REPRO_NO_CKERNEL=1``): the numpy level walk.  Each query first
+      dives greedily to one leaf (the near side of every VP split),
+      which gives it a starting bound, and parks the subtrees it passed
+      by; the parked entries then advance one frontier level per step,
+      and every distance goes through ``paired_distances_to``.
+
+    Either way every returned distance is an entry of
+    ``paired_distances_to``, which equals the brute-force block entry
+    bit for bit, so the result is exactly the brute-force minimum
     (:func:`repro.engine.nearest_distances_to`).
 
     ``space`` must hold ``tree``'s elements; pass the caller's space (a
     counting proxy included) so the walk's distances are seen where the
-    caller counts them.  ``stats`` accumulates ``steps``, ``entries``
-    and ``distance_calls``, merged into the telemetry walk sink like
+    caller counts them: the kernel's evaluations and seconds reach it
+    through :meth:`~repro.metric.base.MetricSpace.credit_evaluations`.
+    ``stats`` accumulates ``steps`` (level steps, or kernel calls),
+    ``entries`` (frontier entries, or node visits) and
+    ``distance_calls``, merged into the telemetry walk sink like
     :func:`count_walk`'s.
     """
     return _observed(lambda st: _nearest_run(space, rows, tree, st), stats)
 
 
 def _nearest_run(space, rows, tree, stats):
-    """:func:`nearest_walk` without the telemetry shell, in query chunks."""
-    if space.is_vector:
-        rows = np.asarray(rows, dtype=np.float64)
+    """:func:`nearest_walk` without the telemetry shell."""
     if stats is not None:
         for key in ("steps", "entries", "distance_calls"):
             stats.setdefault(key, 0)
+    if space.is_vector:
+        from repro.index.ckernel import kernel_available
+
+        rows = np.asarray(rows, dtype=np.float64)
+        if kernel_available() and len(rows):
+            return _nearest_compiled(space, rows, tree, stats)
     out = np.empty(len(rows), dtype=np.float64)
     for start in range(0, len(rows), _NEAREST_CHUNK):
         block = rows[start : start + _NEAREST_CHUNK]
         out[start : start + len(block)] = _nearest_block(space, block, tree, stats)
     return out
+
+
+def _nearest_compiled(space, rows, tree, stats):
+    """The kernel's candidates, re-measured exactly: each row's minimum."""
+    from repro.index.ckernel import compiled_nearest_candidates
+
+    slack, _ = _nearest_slack(space, rows, tree)  # vectors: rel is 0
+    started = time.perf_counter()
+    elems, row_end, evals = compiled_nearest_candidates(
+        space, rows, tree, slack, stats=stats
+    )
+    space.credit_evaluations(evals, time.perf_counter() - started)
+    starts = np.concatenate(([0], row_end[:-1]))
+    pos = np.repeat(np.arange(len(rows), dtype=np.intp), row_end - starts)
+    d = _nearest_distances(space, rows, pos, elems, stats)
+    return np.minimum.reduceat(d, starts)
 
 
 def _nearest_slack(space, rows, tree):

@@ -1,10 +1,14 @@
-"""Compiled (C/ctypes) kernel for the innermost frontier-walk loops.
+"""Compiled (C/ctypes) kernel for the frontier walks' inner loops.
 
 Public surface:
 
-- :func:`kernel_available` — does :func:`~repro.index.base.count_walk`
-  run the compiled walk here?
+- :func:`kernel_available` — do :func:`~repro.index.base.count_walk`
+  and :func:`~repro.index.base.nearest_walk` (vector spaces) run
+  compiled here?
 - :func:`compiled_count_walk` — the drop-in for ``level_count_walk``.
+- :func:`compiled_nearest_candidates` — one GIL-free call per batch
+  that walks every row to a candidate set holding its exact nearest
+  element, which ``nearest_walk`` re-measures through numpy.
 - :func:`kernel_info` — diagnostics (cache key, compiler, build error),
   recorded into saved-model metadata by :mod:`repro.io`.
 - ``REPRO_NO_CKERNEL=1`` forces the pure-numpy fallback; see
@@ -27,7 +31,7 @@ from repro.index.ckernel.loader import (
     kernel_info,
     reset,
 )
-from repro.index.ckernel.walk import compiled_count_walk
+from repro.index.ckernel.walk import compiled_count_walk, compiled_nearest_candidates
 
 __all__ = [
     "ABI_VERSION",
@@ -39,6 +43,7 @@ __all__ = [
     "build_error",
     "cache_dir",
     "compiled_count_walk",
+    "compiled_nearest_candidates",
     "find_compiler",
     "get_kernel",
     "kernel_available",

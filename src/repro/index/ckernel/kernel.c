@@ -1,11 +1,17 @@
-/* Compiled inner loops of the level-synchronous frontier walk.
+/* Compiled inner loops of the frontier walks over a FlatTree.
  *
  * This file is compiled on demand by repro.index.ckernel.loader with
  * the platform C compiler and loaded through ctypes; it has no Python
- * or numpy dependency.  Every function operates on the row-aligned
- * flat arrays of a FlatTree frontier (nodes/pos/lo/hi plus the tree's
- * struct-of-arrays storage) exactly as _level_step does in
- * repro/index/base.py, and must stay bit-identical to it:
+ * or numpy dependency.  Two walks live here:
+ *
+ * - the count walk (repro_dpar_filter, repro_advance, repro_rect_rung),
+ *   driven one frontier level at a time from Python;
+ * - the nearest-element walk (repro_nearest), one call per batch.
+ *
+ * The count-walk functions operate on the row-aligned flat arrays of a
+ * FlatTree frontier (nodes/pos/lo/hi plus the tree's struct-of-arrays
+ * storage) exactly as _level_step does in repro/index/base.py, and
+ * must stay bit-identical to it:
  *
  * - all node-level decisions are single IEEE-754 float64 operations
  *   (one add or subtract, then a ladder compare) — elementwise
@@ -22,14 +28,20 @@
  *   expansion is reproduced operation for operation; back in Python
  *   for everything else).
  *
+ * repro_nearest does not reproduce numpy's floats at all: it measures
+ * in its own summation order and returns a candidate set that provably
+ * holds the exact minimiser, which Python re-measures through the
+ * einsum path (see the comment above the function).
+ *
  * ctypes releases the GIL around every call, so thread-backed shard
- * executors overlap these loops on real cores.
+ * executors and concurrent scorers overlap these loops on real cores.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
-#define REPRO_CKERNEL_ABI 1
+#define REPRO_CKERNEL_ABI 2
 
 /* np.searchsorted(radii, v, side="left"): first i with radii[i] >= v. */
 static int64_t lower_bound(const double *r, int64_t n, double v) {
@@ -289,4 +301,155 @@ void repro_rect_rung(
         }
     }
     counters[0] = wb;
+}
+
+/* L_p distance between two dim-vectors: kind 1 = L1, 2 = L2, 3 = L_inf,
+ * 0 = general p.  Plain differences, any summation order: the caller
+ * never compares these floats with numpy's, only brackets them. */
+static double lp_distance(const double *x, const double *y, int64_t dim,
+                          int64_t kind, double p) {
+    double s = 0.0;
+    if (kind == 2) {
+        for (int64_t i = 0; i < dim; i++) {
+            double t = x[i] - y[i];
+            s += t * t;
+        }
+        return sqrt(s);
+    }
+    if (kind == 1) {
+        for (int64_t i = 0; i < dim; i++) s += fabs(x[i] - y[i]);
+        return s;
+    }
+    if (kind == 3) {
+        for (int64_t i = 0; i < dim; i++) {
+            double t = fabs(x[i] - y[i]);
+            if (t > s) s = t;
+        }
+        return s;
+    }
+    for (int64_t i = 0; i < dim; i++) s += pow(fabs(x[i] - y[i]), p);
+    return pow(s, 1.0 / p);
+}
+
+/* Exact k=1 nearest-element search for rows [counters[0], m), each row
+ * walked on its own, depth first, near VP child first.  The pruning
+ * bounds are those of the numpy nearest walk (repro/index/base.py):
+ * an entry's lower bound rises with d(q, center) - radius, the VP
+ * threshold (inside members: d - t; outside members: t - d) and, per
+ * leaf member, |d(q, center) - d_elem|; an entry or member is skipped
+ * when its bound exceeds best + slack[row].
+ *
+ * The kernel's distances differ from numpy's einsum distances in the
+ * last bits, so it does not return the minimum.  It returns, per row,
+ * every element it measured within best + slack[row] of its own final
+ * best (cand_elem, row-major; row_end[r] is the running candidate
+ * count after row r), and Python re-measures exactly those.  With E an
+ * upper bound on the error of any one computed distance (einsum,
+ * kernel, or the build-time radius / threshold / d_elem floats),
+ * slack >= 5E keeps the einsum minimiser x* in the set: every bound
+ * on a subtree holding x* is at most D(q, x*) + 2E while best is at
+ * least D(q, x*) - 3E, so x* is measured; and its kernel distance is
+ * within 4E of best, so it is emitted.  The caller's slack is 8E.
+ *
+ * Scratch is allocated here, once per call: a stack of n_nodes entries
+ * (a node is pushed at most once per row) and a measured-pair list of
+ * n_nodes + n_elems (every center and member is measured at most once
+ * per row).
+ *
+ * counters[0] <- next row to walk (in: first row)
+ * counters[1] <- candidates written (in: write offset)
+ * counters[2] += distance evaluations
+ * counters[3] += node visits
+ * Stops early, before writing a row, when its candidates would pass
+ * cap; the caller grows the buffer and calls again from counters[0].
+ * Returns 0, or -1 when the scratch cannot be allocated.
+ */
+int64_t repro_nearest(
+    int64_t m, int64_t dim, const double *rows, const double *data,
+    int64_t kind, double p, const double *slack,
+    int64_t n_nodes, const int64_t *center, const double *threshold,
+    const double *radius, const int64_t *child_lo, const int64_t *child_hi,
+    const int64_t *elem_lo, const int64_t *elem_hi,
+    int64_t n_elems, const int64_t *elems, const double *d_elem,
+    int64_t vp_split,
+    int64_t cap, int64_t *cand_elem, int64_t *row_end,
+    int64_t *counters)
+{
+    int64_t n_seen = n_nodes + n_elems;
+    int64_t *stack_node = malloc(n_nodes * sizeof(int64_t));
+    double *stack_lb = malloc(n_nodes * sizeof(double));
+    int64_t *seen_elem = malloc(n_seen * sizeof(int64_t));
+    double *seen_d = malloc(n_seen * sizeof(double));
+    if (!stack_node || !stack_lb || !seen_elem || !seen_d) {
+        free(stack_node); free(stack_lb); free(seen_elem); free(seen_d);
+        return -1;
+    }
+    int64_t written = counters[1];
+    int64_t evals = 0, visits = 0;
+    int64_t r = counters[0];
+    for (; r < m; r++) {
+        const double *q = rows + r * dim;
+        double sl = slack[r];
+        double best = INFINITY;
+        int64_t ns = 0, top = 1;
+        stack_node[0] = 0;
+        stack_lb[0] = 0.0;
+        while (top > 0) {
+            top--;
+            int64_t nd = stack_node[top];
+            double lb = stack_lb[top];
+            if (lb > best + sl) continue;
+            visits++;
+            int64_t c = center[nd];
+            double d = lp_distance(q, data + c * dim, dim, kind, p);
+            evals++;
+            if (d < best) best = d;
+            if (d <= best + sl) { seen_elem[ns] = c; seen_d[ns] = d; ns++; }
+            double v = d - radius[nd];
+            if (v > lb) lb = v;
+            if (lb > best + sl) continue;
+            if (child_lo[nd] == child_hi[nd]) { /* leaf: its members */
+                for (int64_t k = elem_lo[nd]; k < elem_hi[nd]; k++) {
+                    int64_t e = elems[k];
+                    if (e == c) continue; /* the center, measured above */
+                    if (d_elem != 0 && fabs(d - d_elem[k]) > best + sl) continue;
+                    double de = lp_distance(q, data + e * dim, dim, kind, p);
+                    evals++;
+                    if (de < best) best = de;
+                    if (de <= best + sl) { seen_elem[ns] = e; seen_d[ns] = de; ns++; }
+                }
+                continue;
+            }
+            if (vp_split) { /* push the far child first: the near one pops next */
+                double t = threshold[nd];
+                int64_t ci = child_lo[nd];
+                double lb_in = (d - t > lb) ? d - t : lb;  /* d(c, x) <= t */
+                double lb_out = (t - d > lb) ? t - d : lb; /* d(c, x) > t */
+                if (d > t) {
+                    stack_node[top] = ci; stack_lb[top] = lb_in; top++;
+                    stack_node[top] = ci + 1; stack_lb[top] = lb_out; top++;
+                } else {
+                    stack_node[top] = ci + 1; stack_lb[top] = lb_out; top++;
+                    stack_node[top] = ci; stack_lb[top] = lb_in; top++;
+                }
+            } else { /* first child pops first */
+                for (int64_t ch = child_hi[nd] - 1; ch >= child_lo[nd]; ch--) {
+                    stack_node[top] = ch; stack_lb[top] = lb; top++;
+                }
+            }
+        }
+        double limit = best + sl;
+        int64_t count = 0;
+        for (int64_t k = 0; k < ns; k++) count += (seen_d[k] <= limit);
+        if (written + count > cap) break;
+        for (int64_t k = 0; k < ns; k++)
+            if (seen_d[k] <= limit) cand_elem[written++] = seen_elem[k];
+        row_end[r] = written;
+    }
+    counters[0] = r;
+    counters[1] = written;
+    counters[2] += evals;
+    counters[3] += visits;
+    free(stack_node); free(stack_lb); free(seen_elem); free(seen_d);
+    return 0;
 }

@@ -11,10 +11,10 @@ the cache directory and published with an atomic ``os.replace``, so two
 processes racing the first build both end up loading an intact library.
 
 Fallback is graceful: when no compiler is found (or the build or load
-fails) the level walk's pure-numpy path takes over and
+fails) the numpy count and nearest walks take over and
 :func:`kernel_info` records why.  ``REPRO_NO_CKERNEL=1`` forces that
-fallback — the differential escape hatch CI uses to keep the numpy path
-honest.
+fallback — the differential escape hatch CI uses to keep the numpy
+paths honest.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ ENV_CACHE = "REPRO_CKERNEL_CACHE"
 #: ABI stamp; must match ``REPRO_CKERNEL_ABI`` in ``kernel.c`` (the
 #: loader probes the built library for it, so a foreign or truncated
 #: ``.so`` under the right name is rejected and rebuilt).
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 SOURCE_PATH = Path(__file__).resolve().with_name("kernel.c")
 
@@ -183,6 +183,17 @@ class CKernel:
             + [vp] * 3              # band_entry, band_col, cnt_out
             + [vp]                  # counters
         )
+        self.nearest = lib.repro_nearest
+        self.nearest.restype = i64
+        self.nearest.argtypes = (
+            [i64, i64, vp, vp]      # m, dim, rows, data
+            + [i64, dbl, vp]        # kind, p, slack
+            + [i64] + [vp] * 7      # n_nodes, center..elem_hi
+            + [i64, vp, vp]         # n_elems, elems, d_elem
+            + [i64]                 # vp_split
+            + [i64, vp, vp]         # cap, cand_elem, row_end
+            + [vp]                  # counters
+        )
 
 
 def build_kernel() -> CKernel:
@@ -198,7 +209,7 @@ def build_kernel() -> CKernel:
     if cc is None:
         raise CKernelError(
             "no C compiler found (looked for $CC, cc, gcc, clang); "
-            "falling back to the pure-numpy level walk"
+            "falling back to the pure-numpy walks"
         )
     source = SOURCE_PATH.read_text()
     key = cache_key(source, compiler_banner(cc))

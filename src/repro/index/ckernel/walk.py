@@ -1,6 +1,11 @@
-"""The compiled level walk: Python driver around the C inner loops.
+"""The compiled walks: Python drivers around the C inner loops.
 
-Structure mirrors :func:`repro.index.base.level_count_walk` exactly —
+Two drivers live here.  :func:`compiled_nearest_candidates` (at the
+end) is one ``repro_nearest`` call per batch: every row walks the tree
+on its own inside C, and the call returns candidates that
+:func:`repro.index.base.nearest_walk` re-measures exactly.
+:func:`compiled_count_walk` is the count walk; its structure mirrors
+:func:`repro.index.base.level_count_walk` exactly —
 same work stack, same ``_LEVEL_CHUNK`` slicing, same leaf-scatter
 routing — but the two hot loops run in the shared object built by
 :mod:`repro.index.ckernel.loader`:
@@ -93,7 +98,6 @@ class _WalkContext:
         self.fast = fast() if fast is not None else None
         rc = _rect_leaf_cache(space, tree)
         self.route_max = int(rc[0]) if rc is not None else 0
-        self.rect_fn = partial(_c_rect_single_rung, ctx=self)
 
 
 def compiled_count_walk(
@@ -230,7 +234,10 @@ def _compiled_step(ctx, ids, fr, track, stats):
             ctx.space, ids, radii, ctx.tree, ctx.diff, ctx.stride,
             leaf_nodes[:n_leaf], leaf_pos[:n_leaf], leaf_lo[:n_leaf],
             leaf_hi[:n_leaf], leaf_d[:n_leaf], track, stats,
-            rect_fn=ctx.rect_fn,
+            # Bound per step, not stored on ctx: a stored partial would
+            # close a reference cycle that keeps ``diff`` alive until
+            # the cyclic GC runs.
+            rect_fn=partial(_c_rect_single_rung, ctx=ctx),
         )
     if n_next == 0:
         return _EMPTY_FRONTIER
@@ -344,3 +351,82 @@ def _c_rect_single_rung(
         stats["leaf_entries_filtered"] = (
             stats.get("leaf_entries_filtered", 0) + filtered
         )
+
+
+#: ``repro_nearest``'s metric codes by L_p order (any other order is 0,
+#: the general ``pow`` path).
+_LP_KIND = {1.0: 1, 2.0: 2, float("inf"): 3}
+
+#: Candidate slots per row in the first ``repro_nearest`` call; a batch
+#: whose rows tie more often than that grows the buffer and resumes.
+_NEAREST_SLOTS_PER_ROW = 4
+
+
+def compiled_nearest_candidates(space, rows, tree, slack, *, stats=None):
+    """Each row's nearest-element candidates over ``tree``: ``repro_nearest``.
+
+    ``rows`` is a ``(m, dim)`` float64 block of out-of-dataset vectors
+    and ``slack`` the per-row absolute slack of
+    :func:`repro.index.base._nearest_slack`.  One kernel call walks
+    every row over the tree's arrays and ``space.data`` as they are
+    (mmap-backed included); nothing is built or cached.  Returns
+    ``(elems, row_end, evals)``: the candidate element ids, row-major;
+    the running candidate count after each row (every row has at least
+    one); and the kernel's distance evaluations.  The exact minimum is
+    the per-row minimum of the einsum distances to the candidates (see
+    ``repro_nearest`` in ``kernel.c`` for why the set holds it).
+    ``stats`` gains ``steps`` (kernel calls), ``entries`` (node visits)
+    and ``distance_calls``.  Raises :class:`CKernelError` when the
+    kernel is unavailable.
+    """
+    kernel = get_kernel()
+    if kernel is None:
+        raise CKernelError(
+            "compiled nearest walk requested but the C kernel is "
+            "unavailable; nearest_walk falls back to the numpy walk"
+        )
+    rows = _contig(rows, np.float64)
+    m, dim = rows.shape
+    data = _contig(space.data, np.float64)
+    p = float(space.metric.p)
+    slack = _contig(slack, np.float64)
+    center = _contig(tree.center, np.intp)
+    threshold = _contig(tree.threshold, np.float64)
+    radius = _contig(tree.radius, np.float64)
+    child_lo = _contig(tree.child_lo, np.intp)
+    child_hi = _contig(tree.child_hi, np.intp)
+    elem_lo = _contig(tree.elem_lo, np.intp)
+    elem_hi = _contig(tree.elem_hi, np.intp)
+    elems = _contig(tree.elems, np.intp)
+    d_elem = None if tree.d_elem is None else _contig(tree.d_elem, np.float64)
+    cap = _NEAREST_SLOTS_PER_ROW * m
+    cand = np.empty(cap, dtype=np.intp)
+    row_end = np.empty(m, dtype=np.intp)
+    counters = np.zeros(4, dtype=np.int64)
+    calls = 0
+    while True:
+        status = kernel.nearest(
+            m, dim, _p(rows), _p(data),
+            _LP_KIND.get(p, 0), p, _p(slack),
+            tree.n_nodes, _p(center), _p(threshold), _p(radius),
+            _p(child_lo), _p(child_hi), _p(elem_lo), _p(elem_hi),
+            elems.size, _p(elems), _p(d_elem), int(tree.vp_split),
+            cap, _p(cand), _p(row_end), _p(counters),
+        )
+        if status != 0:
+            raise MemoryError("repro_nearest could not allocate its walk scratch")
+        calls += 1
+        if counters[0] == m:
+            break
+        # The next row's candidates did not fit: grow so that they do
+        # (one row has at most n_nodes + elems.size of them).
+        written = int(counters[1])
+        cap = max(2 * cap, written + tree.n_nodes + elems.size)
+        grown = np.empty(cap, dtype=np.intp)
+        grown[:written] = cand[:written]
+        cand = grown
+    if stats is not None:
+        stats["steps"] += calls
+        stats["entries"] += int(counters[3])
+        stats["distance_calls"] += calls
+    return cand[: int(counters[1])], row_end, int(counters[2])

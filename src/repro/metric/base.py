@@ -168,6 +168,16 @@ class MetricSpace:
             dtype=np.float64,
         )
 
+    def credit_evaluations(self, pairs: int, seconds: float) -> None:
+        """Account for ``pairs`` distances evaluated outside this space.
+
+        The compiled nearest walk (:mod:`repro.index.ckernel`) measures
+        ``data`` in C, past every method here; it reports its
+        evaluations and wall time through this hook.  A plain space
+        ignores them; :class:`~repro.metric.instrumentation.CountingMetricSpace`
+        counts them.
+        """
+
     def paired_distances(
         self, left: Sequence[int] | np.ndarray, right: Sequence[int] | np.ndarray
     ) -> np.ndarray:

@@ -65,10 +65,11 @@ class CountingMetricSpace(MetricSpace):
     ``McCatch.fit``, the joins, or a served model's space.
 
     With ``timed=True`` the out-of-dataset paths (:meth:`distances_to`,
-    :meth:`distances_to_many` and :meth:`paired_distances_to`, the
-    last being the serving score walk's) additionally accumulate their
-    wall time into ``counter.seconds``; the default skips the clock
-    reads entirely.
+    :meth:`distances_to_many`, :meth:`paired_distances_to` and the
+    compiled nearest walk's :meth:`credit_evaluations`, the last two
+    being the serving score walk's) additionally accumulate their wall
+    time into ``counter.seconds``; the default skips the clock reads
+    entirely.
     An existing counter may be passed so several proxies (e.g. the
     spaces of successive hot-swapped model generations) share one
     monotonic tally.
@@ -131,6 +132,14 @@ class CountingMetricSpace(MetricSpace):
         self.counter.bulk_calls += 1
         self.counter.bulk_pairs += int(out.size)
         return out
+
+    def credit_evaluations(self, pairs: int, seconds: float) -> None:
+        """Count distances evaluated in compiled code as one bulk call
+        (their ``seconds`` too, when timed)."""
+        if self.timed:
+            self.counter.seconds += seconds
+        self.counter.bulk_calls += 1
+        self.counter.bulk_pairs += int(pairs)
 
     def paired_distances(self, left, right):
         """Counted row-aligned distances (see :class:`MetricSpace`)."""

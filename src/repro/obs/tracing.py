@@ -10,7 +10,8 @@ tier and collects *spans* — named ``(start, end)`` intervals on the
 - ``engine_batch`` — the engine batch this request rode in being
   scored (shared by every coalesced request of the batch),
 - ``walk`` — the innermost metric-kernel portion of that batch (the
-  distance evaluations of the nearest-inlier walk when serving),
+  nearest-inlier walk when serving: its kernel call and its exact
+  re-measurement of the candidates),
 - ``respond`` — encoding and flushing the response bytes.
 
 The spans share one clock and one origin (trace creation), so their

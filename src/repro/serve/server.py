@@ -22,8 +22,9 @@ headers, ``Content-Length`` body, keep-alive).  Three endpoints:
 
 Telemetry rides each ``/score`` request as a
 :class:`~repro.obs.tracing.RequestTrace`: parse → queue wait → engine
-batch → walk (the distance evaluations of the batch's nearest-inlier
-walk) → respond, emitted as one JSON access-log line per request when
+batch → walk (the batch's nearest-inlier walk: the compiled kernel call
+and the exact re-measurement of its candidates) → respond, emitted as
+one JSON access-log line per request when
 ``repro serve --log-level info`` configures the serving loggers.
 Scores are bit-identical with telemetry on or off — the only hook on
 the numeric path is a counting proxy that delegates to the same
@@ -31,8 +32,9 @@ kernels.
 
 Requests pass through :class:`~repro.serve.batching.MicroBatcher`, so
 concurrent single-row clients are scored as one engine batch.  Scoring
-runs off the event loop — in a thread (``workers=0``; the engine's
-bulk kernels release the GIL) or on an mmap-attached
+runs off the event loop — in a thread (``workers=0``; the compiled
+nearest walk releases the GIL for its one call per batch) or on an
+mmap-attached
 :class:`~repro.serve.workers.ScoringWorkerPool` — so the loop keeps
 accepting and coalescing requests while a batch is being scored.
 
@@ -418,8 +420,12 @@ class ScoringServer:
         telemetry on the return is ``(scores, extras)``: batch facts
         the micro-batcher stamps onto every coalesced request's trace
         (inner kernel seconds, the generation/version snapshot,
-        worker pid).  The distance-counter delta is race-free because
-        the batcher dispatches batches strictly sequentially.
+        worker pid).  ``walk_s`` is the timed proxy's seconds delta:
+        the compiled walk credits its kernel call there
+        (:meth:`~repro.metric.base.MetricSpace.credit_evaluations`) and
+        the proxy times the exact re-measurement, so the ``walk`` span
+        covers the whole nearest-inlier walk.  The delta is race-free
+        because the batcher dispatches batches strictly sequentially.
         """
         served = self._served
         if self.metrics is None:

@@ -73,3 +73,12 @@ def string_space():
     from repro.metric.strings import levenshtein
 
     return MetricSpace(words, levenshtein)
+
+
+@pytest.fixture
+def shard_small_inputs(monkeypatch):
+    """Shard even the small query sets tests use: the executor runs
+    thread-backed sets below ``MIN_SHARD_QUERIES`` inline."""
+    from repro.engine import parallel
+
+    monkeypatch.setattr(parallel, "MIN_SHARD_QUERIES", 1)

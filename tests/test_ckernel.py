@@ -223,6 +223,7 @@ class TestCompiledDifferential:
 
 
 @needs_kernel
+@pytest.mark.usefixtures("shard_small_inputs")
 class TestShardedCompiled:
     """Sharding over the compiled kernel stays bit-identical."""
 

@@ -144,6 +144,7 @@ class TestFlatMatchesBruteForce:
             assert np.array_equal(got, expected), walk.__name__
 
 
+@pytest.mark.usefixtures("shard_small_inputs")
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("walk", ["level", "compiled"])
 @pytest.mark.parametrize("cls", FLAT_KINDS)

@@ -211,6 +211,7 @@ class TestFrontierSplitting:
         assert stats["steps"] <= flat.max_depth()
 
 
+@pytest.mark.usefixtures("shard_small_inputs")
 class TestTreeSharding:
     """Query sharding through the executor, engine, and McCatch (the
     class name predates the removal of the tree-axis sharding; every

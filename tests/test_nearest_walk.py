@@ -1,17 +1,23 @@
-"""Held-out scoring through the inlier tree: the walk equals brute force.
+"""Held-out scoring through the inlier tree: both walks equal brute force.
 
 ``McCatchModel.score_batch`` finds each row's nearest inlier with an
 exact k=1 walk over a VP-tree of the model's inliers
-(:func:`repro.index.base.nearest_walk`).  Its scores and flagged sets
-must equal the brute-force oracle — every inlier scanned by
-:func:`repro.engine.nearest_distances_to`, scored by the scalar
-:func:`repro.core.scoring.point_score` — bit for bit, whatever index
-the fit used, for every metric, dimensionality and degenerate case,
-and however the model reached the scorer (in memory, saved, mapped,
-behind a counting proxy, or from an archive of the first format).
+(:func:`repro.index.base.nearest_walk`): the compiled kernel's walk for
+vector spaces when the kernel loads, the numpy walk otherwise.  Its
+scores and flagged sets must equal the brute-force oracle — every
+inlier scanned by :func:`repro.engine.nearest_distances_to`, scored by
+the scalar :func:`repro.core.scoring.point_score` — bit for bit,
+whatever index the fit used, for every metric, dimensionality and
+degenerate case, and however the model reached the scorer (in memory,
+saved, mapped, behind a counting proxy, or from an archive of the first
+format).  Every walk class runs twice: as written (the compiled walk
+where the kernel loads) and in a ``...NumpyWalk`` subclass whose
+fixture forces the numpy fallback.
 """
 
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,6 +26,8 @@ from repro import McCatch, McCatchModel
 from repro.core.scoring import point_score, point_scores
 from repro.engine import nearest_distances_to
 from repro.index import available_index_kinds, build_index
+from repro.index import base as index_base
+from repro.index import ckernel
 from repro.index.base import nearest_walk
 from repro.io import load_model, save_model
 from repro.io.indexes import INDEX_FORMAT, index_payload
@@ -36,6 +44,20 @@ VECTOR_METRICS = {
     "chebyshev": chebyshev,
     "minkowski3": minkowski(3),
 }
+
+
+@pytest.fixture
+def numpy_walk(monkeypatch):
+    """Force the numpy fallback walk (what ``REPRO_NO_CKERNEL=1`` runs)."""
+    monkeypatch.setenv(ckernel.ENV_DISABLE, "1")
+
+
+class NumpyWalk:
+    """Mixin: every inherited test again, on the numpy walk."""
+
+    @pytest.fixture(autouse=True)
+    def _force_numpy_walk(self, numpy_walk):
+        assert not ckernel.kernel_available()
 
 
 def inlier_ids(model: McCatchModel) -> np.ndarray:
@@ -228,3 +250,151 @@ class TestPointScores:
             ])
             expected = np.array([point_score(float(v), r1) for v in g])
             assert np.array_equal(point_scores(g, r1), expected)
+
+
+def duplicate_heavy_data() -> np.ndarray:
+    """1,000 exact copies of one row among 300 Gaussian rows, plus a
+    planted 8-point microcluster."""
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(300, 3))
+    dup = np.repeat([[0.25, -0.5, 0.75]], 1000, axis=0)
+    mc = rng.normal(0.0, 0.02, (8, 3)) + 7.0
+    return np.vstack([X, dup, mc])
+
+
+class TestHardCases:
+    def test_thousand_tied_inliers(self):
+        """Rows whose nearest inliers are 1,000 exact duplicates: every
+        one ties for the minimum, so the compiled walk's candidate
+        buffer (4 slots a row to start) must grow, never truncate."""
+        model = McCatch(index="vptree").fit_model(duplicate_heavy_data())
+        dup = np.array([0.25, -0.5, 0.75])
+        rng = np.random.default_rng(3)
+        queries = np.vstack([
+            dup,
+            dup + rng.normal(0.0, 0.05, (40, 3)),
+            dup + np.array([[0.3, 0.0, 0.0], [0.0, -0.3, 0.0]]),
+        ])
+        assert_matches_brute_force(model, queries)
+        if ckernel.kernel_available():
+            rows = queries[1:]
+            slack, _ = index_base._nearest_slack(model.space, rows, model.index.flat)
+            _, row_end, _ = ckernel.compiled_nearest_candidates(
+                model.space, rows, model.index.flat, slack
+            )
+            g = nearest_distances_to(model.space, rows, inlier_ids(model))
+            tied = model.space.distances_to_many(rows, [300])[:, 0] == g  # row 300: a copy
+            assert tied.sum() >= 30
+            assert np.diff(row_end, prepend=0)[tied].min() >= 1000
+
+    def test_round_off_moves_the_minimiser(self):
+        """Unit-spread data shifted by 1e7: the einsum expansion is off
+        by about one unit there, so its minimiser is often not the true
+        nearest element and can sit in a subtree whose bound is only
+        within the slack of the best; both walks must still return the
+        einsum minimum."""
+        rng = np.random.default_rng(0)
+        space = MetricSpace(1e7 + rng.normal(size=(3000, 3)))
+        tree = build_index(space, kind="vptree")
+        rows = 1e7 + rng.normal(size=(500, 3))
+        expected = nearest_distances_to(space, rows, tree.ids)
+        exact = np.sqrt(((rows[:, None, :] - space.data[None]) ** 2).sum(axis=2)).min(axis=1)
+        assert (expected != exact).all()  # the einsum floats, not the true distances
+        assert np.array_equal(nearest_walk(space, rows, tree.flat), expected)
+
+    def test_batch_past_the_numpy_chunk(self):
+        """5,000 rows: more than one numpy chunk, one kernel call."""
+        model = McCatch(index="vptree").fit_model(vector_data(3))
+        rng = np.random.default_rng(17)
+        assert index_base._NEAREST_CHUNK < 5000
+        assert_matches_brute_force(model, rng.normal(0.0, 3.0, (5000, 3)))
+
+    @pytest.mark.parametrize("metric", sorted(VECTOR_METRICS))
+    def test_hundred_dimensional_rows(self, metric):
+        model = McCatch(index="vptree").fit_model(vector_data(100), VECTOR_METRICS[metric])
+        assert_matches_brute_force(model, vector_queries(model))
+
+    def test_row_alone_equals_row_in_block(self):
+        """A row's score does not depend on the rows batched with it."""
+        model = McCatch().fit_model(vector_data(3))
+        block = np.random.default_rng(4).normal(0.0, 3.0, (256, 3))
+        together = model.score_batch(block).scores
+        alone = np.concatenate([model.score_batch(row[None, :]).scores for row in block])
+        assert np.array_equal(alone, together)
+
+    def test_two_threads_score_one_model(self):
+        """Two threads scoring one model at once (the kernel call
+        releases the GIL) return what one thread returns."""
+        model = McCatch(index="vptree").fit_model(vector_data(3))
+        rng = np.random.default_rng(8)
+        blocks = [rng.normal(0.0, 3.0, (256, 3)) for _ in range(16)]
+        serial = [model.score_batch(b).scores for b in blocks]
+        barrier = threading.Barrier(2)
+
+        def score(half):
+            barrier.wait()
+            return [model.score_batch(b).scores for b in blocks[half::2] * 4]
+
+        with ThreadPoolExecutor(2) as pool:
+            even, odd = pool.map(score, (0, 1))
+        for got, want in zip(even, serial[0::2] * 4):
+            assert np.array_equal(got, want)
+        for got, want in zip(odd, serial[1::2] * 4):
+            assert np.array_equal(got, want)
+
+
+class TestWhichWalk:
+    def test_kernel_walks_vector_spaces_only(self, monkeypatch):
+        """Vector spaces take the kernel whenever it loads; object
+        metrics and ``REPRO_NO_CKERNEL=1`` take the numpy walk."""
+        calls = []
+        real = ckernel.compiled_nearest_candidates
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ckernel, "compiled_nearest_candidates", spy)
+        vec = McCatch(index="vptree").fit_model(vector_data(3))
+        vec.score_batch(vector_queries(vec))
+        assert len(calls) == int(ckernel.kernel_available())
+        words = ["ABC", "ABD", "ABE", "ACE", "BCE", "QQQQQQQ"]
+        McCatch(index="vptree").fit_model(words, levenshtein).score_batch(["ABF"])
+        assert len(calls) == int(ckernel.kernel_available())
+        before = len(calls)
+        monkeypatch.setenv(ckernel.ENV_DISABLE, "1")
+        vec.score_batch(vector_queries(vec))
+        assert len(calls) == before
+
+    def test_kernel_evaluations_reach_the_proxy(self):
+        """The kernel measures in C; the proxy still counts its
+        evaluations (and the re-measured candidates), and the walk
+        sink's stats record one kernel call."""
+        if not ckernel.kernel_available():
+            pytest.skip("C kernel unavailable")
+        model = McCatch(index="vptree").fit_model(vector_data(3))
+        queries = vector_queries(model)
+        proxy = CountingMetricSpace(model.space, timed=True)
+        stats: dict = {}
+        g = nearest_walk(proxy, queries, model.index.flat, stats=stats)
+        assert np.array_equal(g, nearest_distances_to(model.space, queries, inlier_ids(model)))
+        assert stats["steps"] == 1 and stats["distance_calls"] == 2
+        assert proxy.counter.bulk_calls == 2
+        assert len(queries) <= proxy.counter.total < len(queries) * len(model.index)
+        assert proxy.counter.seconds > 0.0
+
+
+class TestMatchesBruteForceNumpyWalk(NumpyWalk, TestMatchesBruteForce):
+    pass
+
+
+class TestEveryWayToServeNumpyWalk(NumpyWalk, TestEveryWayToServe):
+    pass
+
+
+class TestWalkCostNumpyWalk(NumpyWalk, TestWalkCost):
+    pass
+
+
+class TestHardCasesNumpyWalk(NumpyWalk, TestHardCases):
+    pass

@@ -41,6 +41,11 @@ FLAT_KINDS = [VPTree, BallTree, CoverTree, MTree, SlimTree]
 WORKER_COUNTS = [1, 2, 3, 7]
 
 
+@pytest.fixture(autouse=True)
+def _shard_small_inputs(shard_small_inputs):
+    """Every test here exercises sharding on small inputs."""
+
+
 @pytest.fixture(scope="module")
 def vspace():
     """Vector data with duplicates and a tight planted pair."""

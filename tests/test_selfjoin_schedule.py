@@ -36,6 +36,11 @@ FLAT_KINDS = [VPTree, BallTree, CoverTree, MTree, SlimTree]
 WORKER_COUNTS = [1, 2, 3, 7]
 
 
+@pytest.fixture(autouse=True)
+def _shard_small_inputs(shard_small_inputs):
+    """Every test here exercises sharding on small inputs."""
+
+
 def _clustered(rng, dim: int, n: int) -> np.ndarray:
     X = np.vstack(
         [
@@ -268,6 +273,34 @@ def test_one_rung_schedules_run_one_shard_per_worker(l2_3d, monkeypatch):
     got = engine.self_join_counts(radii, max_cardinality=20)
     assert np.array_equal(got, literal_self_join(l2_3d, radii, 20))
     assert submits == [parallel._walk_schedule] * workers
+
+
+@pytest.mark.parametrize("minimum, shards", [(10**6, 0), (50, 2), (1, 3)])
+def test_small_thread_sets_run_fewer_shards(l2_3d, monkeypatch, minimum, shards):
+    """A thread-backed shard holds at least ``MIN_SHARD_QUERIES`` /
+    (rungs per walk) queries; a set too small for two shards runs
+    inline, with the same counts."""
+    monkeypatch.setattr(parallel, "MIN_SHARD_QUERIES", minimum)
+    submits = _spy_submits(monkeypatch)
+    engine = BatchQueryEngine(VPTree(l2_3d), mode="parallel", workers=3)
+    radii = ladder(l2_3d)
+    assert len(l2_3d) // 50 == 2  # one rung per walk: 2 shards at minimum 50
+    got = engine.self_join_counts(radii, max_cardinality=20)
+    assert np.array_equal(got, literal_self_join(l2_3d, radii, 20))
+    assert submits == [parallel._walk_schedule] * shards
+
+
+def test_process_shards_ignore_the_minimum(strings, monkeypatch):
+    """Object-metric shards pay Python metric calls per query, so the
+    minimum does not apply to them."""
+    monkeypatch.setattr(parallel, "MIN_SHARD_QUERIES", 10**6)
+    submits = _spy_submits(monkeypatch)
+    engine = BatchQueryEngine(VPTree(strings), mode="parallel", workers=2)
+    radii = ladder(strings)
+    c = len(strings) // 2
+    got = engine.self_join_counts(radii, max_cardinality=c)
+    assert np.array_equal(got, literal_self_join(strings, radii, c))
+    assert submits == [parallel._schedule_shard_attached] * (parallel.OVERSHARD * 2)
 
 
 @pytest.fixture()
