@@ -1,22 +1,24 @@
 """Compiled vs level-synchronous walk: SELFJOINC.
 
-Measures the interpreter-overhead claim of the compiled C kernel
-(:func:`repro.index.ckernel.compiled_count_walk`, the per-depth advance
-and the rectangular leaf kernel as single C calls that release the GIL)
-against the numpy level walk it mirrors
-(:func:`repro.index.base.level_count_walk`, one grouped set of NumPy
-dispatches per tree depth), on the multi-radius range-counting workload
-(every point counted at every radius of the ladder — SELFJOINC,
-Alg. 2).
+Measures the compiled count walk
+(:func:`repro.index.ckernel.compiled_count_walk`: one GIL-free
+``repro_count`` call per radius, each query walking the tree depth
+first in C, the margin band re-measured through numpy) against the
+numpy level walk (:func:`repro.index.base.level_count_walk`, one grouped
+set of NumPy dispatches per tree depth), on the multi-radius
+range-counting workload (every point counted at every radius of the
+ladder, no drops — SELFJOINC, Alg. 2).
 
-Counts are asserted bit-identical across both walks, and against brute
-force on a query sample, before any time is recorded.  The dispatch
-counters ride along in the JSON (``steps`` is the tree depth walked).
-A query-sharding sweep
+An identity gate runs before any time is recorded: the level walk
+against brute force on a query sample, and the compiled walk against
+the level walk on every query.  The walk counters ride along in the
+JSON: for the level walk ``steps`` is the depth steps walked, for the
+compiled walk the kernel calls (one per radius), with ``entries`` its
+node visits and ``leaf_entries_total`` / ``leaf_entries_filtered`` the
+members it scanned and settled in C.  A query-sharding sweep
 (:class:`repro.engine.parallel.ShardedWalkExecutor`, which shards
 vector data on threads) rides along for the compiled walk, whose kernel
-drops the GIL for the whole advance — the contrast numpy's
-fragmented-release level walk cannot match on Python-loop-heavy trees.
+drops the GIL for each whole call.
 
 Results land in ``benchmarks/results/BENCH_walk.json`` (the
 level-vs-compiled records) and
@@ -54,8 +56,13 @@ DEFAULT_SIZES = [int(10_000 * BOOST), int(50_000 * BOOST)]
 DEFAULT_WORKERS = [1, 2, 4]
 N_RADII = 15
 
-#: Dispatch counters the walks accumulate (see ``_WALK_STAT_KEYS``).
+#: Dispatch counters the level walk accumulates (see ``_WALK_STAT_KEYS``).
 OP_KEYS = ("steps", "entries", "distance_calls", "searchsorted_calls", "scatter_calls")
+
+#: Counters the compiled walk reports.
+COMPILED_OP_KEYS = (
+    "steps", "entries", "distance_calls", "leaf_entries_total", "leaf_entries_filtered",
+)
 
 #: Queries of the brute-force spot check run before timing.
 ORACLE_SAMPLE = 256
@@ -115,7 +122,7 @@ def run(sizes: list[int], repeats: int, kind: str, workers: list[int]) -> dict:
                 ),
                 "level_ops": {k: level_ops[k] for k in OP_KEYS},
                 "compiled_ops": (
-                    {k: compiled_ops[k] for k in OP_KEYS if k in compiled_ops}
+                    {k: compiled_ops[k] for k in COMPILED_OP_KEYS}
                     if compiled_ok else None
                 ),
             }

@@ -13,6 +13,7 @@ unknown a priori [38], [39].
 from __future__ import annotations
 
 import math
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -38,15 +39,63 @@ def universal_code_length(z: int | float) -> float:
     return total
 
 
+#: Largest integer the process-wide ⟨z⟩ table of
+#: :func:`universal_code_lengths` covers.  The table grows lazily (by
+#: doubling) to the largest value asked for, up to this cap, so one far
+#: value costs at most a 16,384-entry fill (about 12 ms of Python, once
+#: per process); larger values take the per-distinct path.
+CODE_TABLE_CAP = 1 << 14
+
+_code_table = np.zeros(2)  # _code_table[z] = ⟨z⟩; ⟨0⟩ = ⟨1⟩ = 0
+_code_table_lock = threading.Lock()
+
+
+def _code_table_upto(z_max: int) -> np.ndarray:
+    """The ⟨z⟩ table covering ``0..z_max`` (``z_max <= CODE_TABLE_CAP``).
+
+    A grown table is a new array swapped in under the lock, so a reader
+    holding the old one never sees a partial fill.
+    """
+    global _code_table
+    table = _code_table
+    if table.size > z_max:
+        return table
+    with _code_table_lock:
+        table = _code_table
+        if table.size <= z_max:
+            size = min(CODE_TABLE_CAP + 1, max(2 * table.size, z_max + 1))
+            grown = np.empty(size)
+            grown[: table.size] = table
+            grown[table.size :] = [universal_code_length(z) for z in range(table.size, size)]
+            _code_table = table = grown
+    return table
+
+
 def universal_code_lengths(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Vectorized ⟨z⟩ over an array of values (clamped to >= 1).
 
-    :func:`universal_code_length` runs once per distinct value.
+    Integers up to :data:`CODE_TABLE_CAP` are looked up in a
+    process-wide table of :func:`universal_code_length` values, so they
+    are bit-identical to the scalar function; any other value (larger,
+    fractional, NaN) runs :func:`universal_code_length` once per
+    distinct value.
     """
     arr = np.asarray(values, dtype=np.float64)
-    uniq, inverse = np.unique(arr.ravel(), return_inverse=True)
+    z = np.maximum(arr.ravel(), 1.0)
+    tabled = (z <= CODE_TABLE_CAP) & (z == np.floor(z))
+    if tabled.all():
+        idx = z.astype(np.intp)
+        top = int(idx.max()) if idx.size else 0
+        return _code_table_upto(top).take(idx).reshape(arr.shape)
+    out = np.empty(z.size)
+    if tabled.any():
+        idx = z[tabled].astype(np.intp)
+        out[tabled] = _code_table_upto(int(idx.max())).take(idx)
+    rest = ~tabled
+    uniq, inverse = np.unique(z[rest], return_inverse=True)
     table = np.array([universal_code_length(v) for v in uniq.tolist()], dtype=np.float64)
-    return table[inverse].reshape(arr.shape)
+    out[rest] = table[inverse]
+    return out.reshape(arr.shape)
 
 
 def cost_of_compression(values: Sequence[int] | np.ndarray) -> float:

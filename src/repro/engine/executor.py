@@ -11,17 +11,19 @@ count exceeded ``c`` is dropped before the next walk.
 The width follows the input (:meth:`BatchQueryEngine.rungs_per_walk`;
 measurements in the :data:`RADIUS_BLOCK_SIZE` comment):
 
-- one rung per walk — the literal Alg. 2 recursion — where the float32
-  rect leaf kernel settles single-rung leaves (a flat tree over a space
-  whose ``float32_coords()`` is not ``None``: Euclidean vectors of at
-  most 64 dims), for an index without a multi-radius walk (scipy's
-  cKDTree), and in ``mode="per_point"``;
+- one rung per walk — the literal Alg. 2 recursion — for a flat tree
+  over vector data whenever the C kernel runs (its count walk answers
+  one radius per call); without the kernel, where the numpy walk's
+  float32 rect leaf kernel settles single-rung leaves (a space whose
+  ``float32_coords()`` is not ``None``: Euclidean vectors of at most 64
+  dims); for an index without a multi-radius walk (scipy's cKDTree);
+  and in ``mode="per_point"``;
 - blocks of :data:`RADIUS_BLOCK_SIZE` rungs everywhere else.  Brute
   force shares one distance block across the radii of a call; object
-  metrics and the other vector metrics share the upper-level distances
-  of one descent.  Cells of a block past a point's first exceed are
-  blanked to ``UNKNOWN_COUNT``, so the counts equal the one-rung
-  recursion bit for bit.
+  metrics (and, without the kernel, the other vector metrics) share the
+  upper-level distances of one descent.  Cells of a block past a
+  point's first exceed are blanked to ``UNKNOWN_COUNT``, so the counts
+  equal the one-rung recursion bit for bit.
 
 Three modes, selected at construction:
 
@@ -47,30 +49,39 @@ from typing import Sequence
 import numpy as np
 
 from repro.index.base import UNKNOWN_COUNT, MetricIndex, check_radii_ascending
+from repro.index.ckernel import kernel_available
 from repro.obs import hooks as _obs_hooks
 
 #: Execution modes understood by :class:`BatchQueryEngine`.
 ENGINE_MODES = ("batched", "per_point", "parallel")
 
 #: Ladder rungs one sparse-focused SELFJOINC walk answers where a
-#: multi-rung walk pays (:meth:`BatchQueryEngine.rungs_per_walk`).
-#: Wider blocks share one descent across more rungs; one rung per walk
-#: drops dense points sooner.  Serial SELFJOINC on a VP-tree, c = 10%
-#: of n, best of 2 on a 2-vCPU VM, counts identical across plans
-#: (blocks of 4 -> one rung per walk; "f32" = ``float32_coords()`` is
-#: not ``None``, the rect kernel applies):
+#: multi-rung walk pays (:meth:`BatchQueryEngine.rungs_per_walk`):
+#: object metrics, brute force, and vector metrics the numpy walk's
+#: rect kernel does not cover when the C kernel is off.  Wider blocks
+#: share one descent across more rungs; one rung per walk drops dense
+#: points sooner.  Serial SELFJOINC on a VP-tree, c = 10% of n, 2-vCPU
+#: VM, counts identical across plans (blocks of 4 -> one rung per walk).
 #:
-#: - ``make_http_like(10_000)``, 3-d Euclidean, f32: 2.31 -> 1.11 s
-#: - uniform 2-d n=10k / clustered 20-d n=5k, f32: 0.86 / 1.28 -> 0.58 / 0.67 s
-#: - clustered 30-d / 50-d / 64-d Euclidean, f32: 1.74 / 1.68 / 3.15 ->
-#:   1.42 / 1.63 / 3.14 s
+#: The compiled count walk answers one radius per kernel call, so a
+#: block only delays the drops (best of 2):
+#:
+#: - ``make_http_like(10_000)``, 3-d Euclidean: 0.46 -> 0.33 s; same
+#:   data under cityblock: 0.62 -> 0.46 s; ball / M- / cover tree:
+#:   1.04 / 0.77 / 0.61 -> 0.88 / 0.52 / 0.43 s
+#: - uniform 2-d n=10k: 0.25 -> 0.19 s
+#: - clustered n=5k, Euclidean 20-d / 30-d / 50-d / 64-d: 0.39 / 0.94 /
+#:   1.31 / 2.00 -> 0.32 / 0.73 / 0.97 / 1.67 s; 65-d / 80-d / 100-d:
+#:   2.32 / 3.61 / 2.77 -> 2.15 / 2.98 / 2.82 s
+#: - clustered n=5k cityblock, 20-d / 64-d: 0.41 / 1.75 -> 0.31 / 1.35 s
+#:
+#: The numpy level walk, measured before the compiled count walk, where
+#: blocks still pay:
+#:
 #: - clustered 65-d / 80-d / 100-d Euclidean: 3.03 / 4.00 / 5.11 ->
-#:   8.11 / 8.93 / 11.53 s
+#:   8.11 / 8.93 / 11.53 s (one rung pays only where the float32 rect
+#:   kernel applies: 2.31 -> 1.11 s on ``make_http_like``)
 #: - clustered 20-d / 64-d cityblock: 1.55 / 6.08 -> 3.77 / 13.22 s
-#: - ``make_http_like`` 3-d cityblock: 6.99 -> 5.15 s (keeps blocks: the
-#:   rule follows the rect kernel, not the metric)
-#: - ``make_http_like`` 3-d, ball / M- / cover tree, f32: 2.95 / 3.11 /
-#:   2.31 -> 2.70 / 3.09 / 2.34 s
 #: - whole fit of ``make_last_names(400, 20)``, Levenshtein: 20.4 s and
 #:   312k distance evaluations -> 37.5 s and 545k
 RADIUS_BLOCK_SIZE = 4
@@ -286,15 +297,23 @@ class BatchQueryEngine:
     def rungs_per_walk(self) -> int:
         """Rungs one sparse-focused SELFJOINC walk answers.
 
-        1 where the float32 rect leaf kernel settles single-rung leaves
-        (a flat tree over a space with a ``float32_coords()`` view), for
-        an index without a multi-radius walk, and in ``"per_point"``
-        mode; :data:`RADIUS_BLOCK_SIZE` otherwise.
+        1 for a flat tree over a vector space whenever the C kernel runs
+        (its count walk answers one radius per call, so a block would
+        only delay the drops); without the kernel, 1 where the numpy
+        walk's float32 rect leaf kernel settles single-rung leaves (a
+        ``float32_coords()`` view: Euclidean, at most 64 dims).  Also 1
+        for an index without a multi-radius walk and in ``"per_point"``
+        mode; :data:`RADIUS_BLOCK_SIZE` otherwise (object metrics, brute
+        force, the numpy walk over other vector spaces).
         """
         if self.mode == "per_point" or not self._walks_batched:
             return 1
-        if self._flat and self.index.space.float32_coords() is not None:
-            return 1
+        if self._flat:
+            space = self.index.space
+            if space.is_vector and kernel_available():
+                return 1
+            if space.float32_coords() is not None:
+                return 1
         return RADIUS_BLOCK_SIZE
 
     # -- JOINC (Alg. 4) ----------------------------------------------------

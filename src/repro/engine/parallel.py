@@ -16,8 +16,9 @@ task with one walk and no drops.
 The pool follows the data, with nothing to configure:
 
 - threads for vector spaces — workers share the live index; the
-  compiled walk and the bulk einsum/BLAS blocks release the GIL, so
-  threads scale without copying anything;
+  compiled count walk (one GIL-free kernel call per radius) and the
+  bulk einsum/BLAS blocks release the GIL, so threads scale without
+  copying anything;
 - processes for object metrics (edit distance, TED — Python loops that
   hold the GIL) — workers *attach* to an index artifact the executor
   publishes, via the zip-offset mmap path
@@ -64,40 +65,44 @@ from repro.metric.base import MetricSpace
 #: rungs at a time: frontier walks cost different amounts per query
 #: (dense regions prune less), so a few shards per worker lets fast
 #: workers absorb the stragglers' tail.  A one-rung schedule walks
-#: every rung, and each walk pays a fixed cost (its level loop runs in
-#: Python under the GIL), so it runs one shard per worker instead.
-#: Sharded one-rung SELFJOINC, VP-tree, 2-vCPU VM, best of 3, 4 -> 1
-#: shard per worker: uniform 2-d n=2k 152 -> 50 ms (2 workers);
-#: n=10k 464 / 641 / 1360 -> 339 / 365 / 549 ms (2 / 4 / 8 workers);
-#: ``make_http_like(10_000)`` seeds 0 / 1, 2 workers, 1.09-1.14 /
-#: 1.09-1.13 -> 0.93-1.00 / 0.95-0.96 s.  Blocks of 4 rungs keep 4
+#: every rung, and each walk still pays a fixed cost in Python under
+#: the GIL (the schedule step, the walk's setup and one kernel call per
+#: rung), so it runs one shard per worker instead.  Sharded one-rung
+#: SELFJOINC with the compiled count walk, VP-tree, 2-vCPU VM, best of
+#: 3, one -> four shards per worker (serial): uniform 2-d n=2k 16 / 23
+#: / 44 -> 38 / 51 / 104 ms at 2 / 4 / 8 workers (25 ms); n=10k 153 /
+#: 139 / 158 -> 134 / 162 / 279 ms (277 ms); ``make_http_like(10_000)``
+#: 232 / 304 / 296 -> 308 / 287 / 315 ms (420 ms).  Blocks of 4 rungs
+#: (object metrics, and other vector metrics without the kernel) keep 4
 #: shards per worker: one per worker took 2.0-2.4 s against 1.76-1.92 s
 #: on clustered 80-d data and 1.59-1.63 s against 1.33-1.60 s on 20-d
-#: cityblock (n=5k, 2 workers).
+#: cityblock (n=5k, 2 workers, measured before the compiled count
+#: walk).
 OVERSHARD = 4
 
 #: Fewest queries a thread-backed shard of a one-rung schedule may
 #: hold; smaller query sets run fewer shards, or inline.  Every walk of
-#: a shard pays a fixed cost (its level loop under the GIL, and the GIL
-#: hand-offs between threads), which a query repays rung by rung, so a
-#: walk answering ``w`` rungs at once needs only
-#: ``MIN_SHARD_QUERIES / w`` queries per shard.  Two threads against
-#: one inline schedule of twice the queries, VP-tree, 14 rungs, 2-vCPU
-#: VM, best of 9 (shard size: two-shard / inline time):
+#: a shard pays a fixed cost (its Python setup, and the GIL hand-offs
+#: between threads), which a query repays rung by rung, so a walk
+#: answering ``w`` rungs at once needs only ``MIN_SHARD_QUERIES / w``
+#: queries per shard.  Two threads against one inline schedule of twice
+#: the queries, compiled count walk, VP-tree, 14 rungs, 2-vCPU VM, best
+#: of 9 (shard size: two-shard / inline time):
 #:
-#: - one-rung SELFJOINC, uniform 2-d n=10k: 128: 2.13, 512: 1.30,
-#:   1024: 0.83, 2048: 0.62; ``make_http_like(10_000)``: 128: 1.39,
-#:   256: 1.01, 512: 0.80, 2048: 0.63;
-#: - one multi-radius walk (Alg. 4's ladder scan), ``make_http_like``:
-#:   32: 0.83, 128: 0.67, 512: 0.53; its ~65 outliers took 32 ms inline
-#:   against 57 ms as 8 shards of 8;
-#: - blocks of 4 rungs, 20-d cityblock n=5k: 32: 0.61, 256: 0.56.
+#: - one-rung SELFJOINC, uniform 2-d n=10k: 64: 2.11, 128: 1.25,
+#:   256: 0.98, 512: 0.62, 1024: 0.56; ``make_http_like(10_000)``:
+#:   64: 1.46, 128: 1.11, 256: 1.03, 512: 0.56, 1024: 0.85;
+#: - one 15-radius walk (Alg. 4's ladder scan), ``make_http_like``:
+#:   16: 1.83, 32: 1.01, 64: 0.89, 512: 0.68.
 #:
-#: Process-backed shards (object metrics) are exempt: each query costs
-#: Python metric calls, far above a walk's fixed cost (Levenshtein
-#: names, n=210, blocks of 4: 5.6 s inline, 3.8 s as 8 shards of ~26
-#: over 2 processes).  Rows are independent, so no count depends on it.
-MIN_SHARD_QUERIES = 1024
+#: With the numpy level walk each walk cost more fixed Python, and the
+#: same one-rung split broke even near 700 queries (uniform 2-d 512:
+#: 1.30, 1024: 0.83), so the minimum was 1,024.  Process-backed shards
+#: (object metrics) are exempt: each query costs Python metric calls,
+#: far above a walk's fixed cost (Levenshtein names, n=210, blocks of
+#: 4: 5.6 s inline, 3.8 s as 8 shards of ~26 over 2 processes).  Rows
+#: are independent, so no count depends on it.
+MIN_SHARD_QUERIES = 512
 
 
 def default_workers() -> int:

@@ -26,14 +26,15 @@ objects.  Every family builds it directly with level-synchronous
 vectorized construction (the VP- and ball trees in their modules, the
 cover, M- and Slim-trees in :mod:`repro.index.bulk`).  One walk answers
 multi-radius count queries over the flat arrays, and :func:`count_walk`
-picks its implementation from the environment alone: the compiled
-kernel of :mod:`repro.index.ckernel` when it builds, else the
-level-synchronous :func:`level_count_walk` — the whole frontier of one
-depth becomes flat ``(node, query, lo, hi)`` arrays, so each level
-costs one grouped distance computation, a few batched ``searchsorted``
-calls and bincount scatters, O(depth) NumPy dispatches in all.  Both
-produce bit-identical counts.  Flat trees also answer exact
-nearest-element queries for out-of-dataset rows with
+picks its implementation from the space and the environment alone: for
+vector data the compiled kernel of :mod:`repro.index.ckernel` when it
+builds (one GIL-free call per radius, each query walking depth first),
+else the level-synchronous :func:`level_count_walk` — the whole
+frontier of one depth becomes flat ``(node, query, lo, hi)`` arrays, so
+each level costs one grouped distance computation, a few batched
+``searchsorted`` calls and bincount scatters, O(depth) NumPy dispatches
+in all.  Both produce brute force's counts, bit for bit.  Flat trees
+also answer exact nearest-element queries for out-of-dataset rows with
 :func:`nearest_walk`, the held-out scorer's ``g``.  Because the layout
 is a handful of primitive NumPy arrays, any fitted index can be
 persisted to a single ``.npz`` (:mod:`repro.io.indexes`) and served
@@ -243,7 +244,7 @@ class FlatTree:
     __slots__ = (
         "center", "threshold", "radius", "size", "child_lo", "child_hi",
         "elem_lo", "elem_hi", "elems", "d_parent", "d_elem", "vp_split",
-        "_leaf_cache", "_rect_cache",
+        "_leaf_cache", "_rect_cache", "_scan_cache",
     )
 
     def __init__(
@@ -276,6 +277,7 @@ class FlatTree:
         self.vp_split = bool(vp_split)
         self._leaf_cache = None  # lazy (float32 d_elem, max) for the leaf filter
         self._rect_cache = None  # lazy padded member blocks for the rect kernel
+        self._scan_cache = None  # lazy member coordinates for the compiled count walk
         n_nodes = self.center.size
         for name in ("threshold", "radius", "size", "child_lo", "child_hi", "elem_lo", "elem_hi"):
             if getattr(self, name).shape != (n_nodes,):
@@ -362,7 +364,9 @@ class FlatTree:
 
 
 #: Counter keys the level and compiled walks accumulate into a
-#: caller-supplied ``stats`` dict (and the telemetry walk sink).
+#: caller-supplied ``stats`` dict (and the telemetry walk sink); the
+#: walks that decide leaf members per pair add ``leaf_entries_total``
+#: and ``leaf_entries_filtered``.
 _WALK_STAT_KEYS = (
     "steps", "entries", "distance_calls", "searchsorted_calls", "scatter_calls",
 )
@@ -803,8 +807,7 @@ def _leaf_pairs_scatter(
 
 
 def _level_leaf_scatter(
-    space, query_ids, radii, tree, diff, stride, nodes, pos, lo, hi, d, track, stats,
-    rect_fn=None,
+    space, query_ids, radii, tree, diff, stride, nodes, pos, lo, hi, d, track, stats
 ):
     """Scatter every leaf bucket of one level into ``diff`` at once.
 
@@ -815,13 +818,7 @@ def _level_leaf_scatter(
     produce counts bit-identical to scattering every leaf entry on its
     own: integer scatter adds commute, so splitting the entries is
     invisible in the sums.
-
-    ``rect_fn`` swaps the single-rung rectangle implementation (same
-    signature as :func:`_rect_single_rung`); the compiled walk binds
-    its C kernel here so every other leaf path stays shared.
     """
-    if rect_fn is None:
-        rect_fn = _rect_single_rung
     b = tree.elem_hi[nodes] - tree.elem_lo[nodes]
     keep = b > 0
     if not keep.all():
@@ -837,7 +834,7 @@ def _level_leaf_scatter(
         for cap, pad, sq_pad in rc[1]:
             cls = rem & (b <= cap)
             if cls.any():
-                rect_fn(
+                _rect_single_rung(
                     space, query_ids, radii, tree, diff, stride,
                     nodes[cls], pos[cls], lo[cls], b[cls], pad, sq_pad,
                     track, stats,
@@ -1074,9 +1071,10 @@ def level_count_walk(
     of one depth is flat ``(node, query, lo, hi)`` arrays and each depth
     costs a constant number of NumPy dispatches, so total interpreter
     overhead is O(depth) instead of O(nodes).  This is the walk behind
-    every flat-backed index when the compiled kernel
-    (:mod:`repro.index.ckernel`) is unavailable, and the reference that
-    kernel mirrors.
+    every flat-backed index over object metrics, and over vector data
+    when the compiled kernel (:mod:`repro.index.ckernel`) is
+    unavailable; it is the reference walk, and the only one that takes
+    radius windows.
 
     ``stats``, when a dict, accumulates the dispatch
     counters of :data:`_WALK_STAT_KEYS`: ``steps`` (level steps),
@@ -1150,9 +1148,13 @@ def count_walk(
 ) -> np.ndarray:
     """Multi-radius range counts over ``tree``: the one walk entry point.
 
-    Runs the compiled kernel (:mod:`repro.index.ckernel`) when it builds
-    here and the numpy :func:`level_count_walk` otherwise (no compiler,
-    or ``REPRO_NO_CKERNEL=1``); counts are bit-identical either way, and
+    Vector spaces run the compiled count walk
+    (:func:`repro.index.ckernel.compiled_count_walk`: one GIL-free
+    kernel call per radius, each query walking depth first, the margin
+    band re-measured through numpy) when the kernel builds here.  Object
+    metrics, and vector spaces without the kernel (no compiler, or
+    ``REPRO_NO_CKERNEL=1``), run the numpy :func:`level_count_walk`.
+    Counts equal brute force bit for bit either way, and
     :func:`repro.index.ckernel.kernel_info` records why the kernel is
     unavailable.
 
@@ -1191,7 +1193,7 @@ def _run_walk(space, query_ids, radii, tree, stats):
     """The walk choice of :func:`count_walk`, telemetry-free."""
     from repro.index.ckernel import compiled_count_walk, kernel_available
 
-    if kernel_available():
+    if space.is_vector and kernel_available():
         return compiled_count_walk(space, query_ids, radii, tree, stats=stats)
     return level_count_walk(space, query_ids, radii, tree, stats=stats)
 

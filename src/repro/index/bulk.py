@@ -484,8 +484,9 @@ def slim_down_flat(
                 tree.size[leaf] = k
                 cursor += k
     if moves:
-        # The walks' lazy leaf-filter / rect-kernel caches snapshot
-        # elems/d_elem; drop them in case a query already ran.
+        # The walks' lazy leaf-filter / rect-kernel / scan caches
+        # snapshot elems/d_elem; drop them in case a query already ran.
         tree._leaf_cache = None
         tree._rect_cache = None
+        tree._scan_cache = None
     return moves

@@ -1,11 +1,14 @@
-"""Compiled (C/ctypes) kernel for the frontier walks' inner loops.
+"""Compiled (C/ctypes) kernel for the walks over vector data.
 
 Public surface:
 
 - :func:`kernel_available` — do :func:`~repro.index.base.count_walk`
   and :func:`~repro.index.base.nearest_walk` (vector spaces) run
   compiled here?
-- :func:`compiled_count_walk` — the drop-in for ``level_count_walk``.
+- :func:`compiled_count_walk` — ``level_count_walk``'s signature and
+  counts for vector spaces: one GIL-free call per radius in which each
+  query walks the tree depth first, the margin band re-measured
+  through numpy.
 - :func:`compiled_nearest_candidates` — one GIL-free call per batch
   that walks every row to a candidate set holding its exact nearest
   element, which ``nearest_walk`` re-measures through numpy.

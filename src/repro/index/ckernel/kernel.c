@@ -1,37 +1,23 @@
-/* Compiled inner loops of the frontier walks over a FlatTree.
+/* Compiled walks over a FlatTree, one query at a time, depth first.
  *
  * This file is compiled on demand by repro.index.ckernel.loader with
  * the platform C compiler and loaded through ctypes; it has no Python
- * or numpy dependency.  Two walks live here:
+ * or numpy dependency.  Two walks live here, each one ctypes call per
+ * batch of queries:
  *
- * - the count walk (repro_dpar_filter, repro_advance, repro_rect_rung),
- *   driven one frontier level at a time from Python;
- * - the nearest-element walk (repro_nearest), one call per batch.
+ * - the count walk (repro_count): every query's number of elements
+ *   within one radius;
+ * - the nearest-element walk (repro_nearest): every row's candidate
+ *   set for its nearest element.
  *
- * The count-walk functions operate on the row-aligned flat arrays of a
- * FlatTree frontier (nodes/pos/lo/hi plus the tree's struct-of-arrays
- * storage) exactly as _level_step does in repro/index/base.py, and
- * must stay bit-identical to it:
- *
- * - all node-level decisions are single IEEE-754 float64 operations
- *   (one add or subtract, then a ladder compare) — elementwise
- *   identical to numpy as long as FP contraction is off, which the
- *   loader enforces with -ffp-contract=off;
- * - lower_bound/upper_bound reproduce np.searchsorted side="left" /
- *   side="right" (the ladder is finite and ascending);
- * - scatter adds into the difference array are exact integer adds in
- *   float64 (far below 2**53) and commute, so per-entry scattering
- *   sums to the same matrix as numpy's grouped bincounts;
- * - the float32 rectangle only *brackets* squared distances: every
- *   cell inside the margin band is settled by the exact float64
- *   metric (in here for 1-/2-d euclidean data, whose column-take
- *   expansion is reproduced operation for operation; back in Python
- *   for everything else).
- *
- * repro_nearest does not reproduce numpy's floats at all: it measures
- * in its own summation order and returns a candidate set that provably
- * holds the exact minimiser, which Python re-measures through the
- * einsum path (see the comment above the function).
+ * Neither reproduces numpy's floats.  Each measures L_p distances in
+ * its own summation order and decides only what a proven error margin
+ * settles; Python re-measures the rest through the exact numpy path
+ * (the einsum expansion for L2), so every count and every nearest
+ * distance equals brute force bit for bit (the proofs are in the
+ * comments above the two functions).  The walks read the tree's arrays
+ * and the caller's data as they are, mmap-backed included, and write
+ * only their output buffers.
  *
  * ctypes releases the GIL around every call, so thread-backed shard
  * executors and concurrent scorers overlap these loops on real cores.
@@ -41,294 +27,212 @@
 #include <stdint.h>
 #include <stdlib.h>
 
-#define REPRO_CKERNEL_ABI 2
-
-/* np.searchsorted(radii, v, side="left"): first i with radii[i] >= v. */
-static int64_t lower_bound(const double *r, int64_t n, double v) {
-    int64_t lo = 0, hi = n;
-    while (lo < hi) {
-        int64_t mid = lo + ((hi - lo) >> 1);
-        if (r[mid] < v) lo = mid + 1; else hi = mid;
-    }
-    return lo;
-}
-
-/* np.searchsorted(radii, v, side="right"): first i with radii[i] > v. */
-static int64_t upper_bound(const double *r, int64_t n, double v) {
-    int64_t lo = 0, hi = n;
-    while (lo < hi) {
-        int64_t mid = lo + ((hi - lo) >> 1);
-        if (r[mid] <= v) lo = mid + 1; else hi = mid;
-    }
-    return lo;
-}
-
-/* _clipped_cols(side="left"): max(searchsorted(radii, v), lo), with the
- * clip gate (v > radii[lo]) evaluated before paying the search. */
-static int64_t clipped_left(const double *r, int64_t a, double v, int64_t lo) {
-    return (v > r[lo]) ? lower_bound(r, a, v) : lo;
-}
-
-static int64_t clipped_right(const double *r, int64_t a, double v, int64_t lo) {
-    return (v >= r[lo]) ? upper_bound(r, a, v) : lo;
-}
+#define REPRO_CKERNEL_ABI 3
 
 int64_t repro_ckernel_abi(void) { return REPRO_CKERNEL_ABI; }
 
-/* M-tree parent-distance filter over one frontier chunk, compacting the
- * five row-aligned arrays in place.  Returns the surviving entry count.
- * Mirrors the dpar branch at the top of _level_step:
- *   lo = max(lo, searchsorted(radii, |dpar - d_parent[node]| - radius))
- *   keep iff lo < hi
- */
-int64_t repro_dpar_filter(
-    int64_t n, int64_t a, const double *radii,
-    int64_t *nodes, int64_t *pos, int64_t *lo, int64_t *hi, double *dpar,
-    const double *d_parent, const double *node_radius)
-{
-    int64_t w = 0;
-    for (int64_t k = 0; k < n; k++) {
-        int64_t nd = nodes[k];
-        double bound = fabs(dpar[k] - d_parent[nd]) - node_radius[nd];
-        int64_t l = lower_bound(radii, a, bound);
-        if (l < lo[k]) l = lo[k];
-        if (l < hi[k]) {
-            nodes[w] = nd; pos[w] = pos[k]; lo[w] = l; hi[w] = hi[k];
-            dpar[w] = dpar[k];
-            w++;
-        }
-    }
-    return w;
-}
-
-/* One depth of the level walk over a frontier chunk: swallow / prune /
- * window tightening / vantage handling / child expansion, scattering
- * whole-node credits straight into the per-query difference array and
- * emitting leaf entries plus the next-depth frontier into
- * caller-provided buffers (capacities: n for the leaf arrays, the
- * summed child count for the next-frontier arrays).
- *
- * Two distance sources:
- *   - d_in != 0:   query-to-center distances precomputed in Python
- *                  (any metric); dpar_in must be 0 (already filtered).
- *   - qcol0 != 0:  fused 1-/2-d euclidean path.  Reproduces the
- *                  column-take expansion of MetricSpace.paired_distances
- *                  operation for operation — ab = x0*y0 (+ x1*y1);
- *                  s = (sq_l + sq_r) - 2*ab; clamp at 0; sqrt — which is
- *                  bitwise identical with FP contraction off.  qids is 0
- *                  for identity query ids (pos is the data id).  The
- *                  parent-distance filter, when dpar_in != 0, runs
- *                  inline before paying for the distance.
- *
- * counters[0] <- number of leaf entries emitted
- * counters[1] <- number of next-frontier entries emitted
- */
-void repro_advance(
-    int64_t n, int64_t a, const double *radii,
-    const int64_t *nodes, const int64_t *pos,
-    const int64_t *lo_in, const int64_t *hi_in,
-    const double *d_in, const double *dpar_in,
-    const int64_t *qids, const double *qcol0, const double *qcol1,
-    const double *sqn, int64_t ncols,
-    const int64_t *center, const double *node_radius, const int64_t *node_size,
-    const int64_t *child_lo, const int64_t *child_hi,
-    const double *threshold, const double *d_parent,
-    int64_t vp_split, int64_t route_max, int64_t emit_dpar,
-    double *diff, int64_t stride,
-    int64_t *leaf_nodes, int64_t *leaf_pos, int64_t *leaf_lo, int64_t *leaf_hi,
-    double *leaf_d,
-    int64_t *out_nodes, int64_t *out_pos, int64_t *out_lo, int64_t *out_hi,
-    double *out_dpar,
-    int64_t *counters)
-{
-    int64_t wl = 0, wn = 0;
-    for (int64_t k = 0; k < n; k++) {
-        int64_t nd = nodes[k];
-        int64_t p = pos[k];
-        int64_t lo = lo_in[k], hi = hi_in[k];
-        double rnode = node_radius[nd];
-        double d;
-        if (qcol0 != 0) {
-            if (dpar_in != 0) {
-                double bound = fabs(dpar_in[k] - d_parent[nd]) - rnode;
-                int64_t l2 = lower_bound(radii, a, bound);
-                if (l2 > lo) lo = l2;
-                if (lo >= hi) continue;
-            }
-            int64_t ql = (qids != 0) ? qids[p] : p;
-            int64_t cr = center[nd];
-            double ab = qcol0[ql] * qcol0[cr];
-            if (ncols == 2) ab += qcol1[ql] * qcol1[cr];
-            double s = (sqn[ql] + sqn[cr]) - 2.0 * ab;
-            if (s <= 0.0) s = 0.0; /* np.maximum(out, 0.0) */
-            d = sqrt(s);
-        } else {
-            d = d_in[k];
-        }
-        double rh = radii[hi - 1]; /* last undecided radius */
-        double v = d + rnode;
-        if (v <= rh) { /* ball swallowed whole: credit size[node] in O(1) */
-            int64_t c = clipped_left(radii, a, v, lo);
-            double w = (double)node_size[nd];
-            double *row = diff + p * stride;
-            row[c] += w;
-            row[hi] -= w;
-            hi = c;
-            if (lo >= hi) continue; /* credit started at lo: window empty */
-            rh = radii[hi - 1];
-        }
-        v = d - rnode;
-        if (v > rh) continue; /* prune: no undecided radius reaches it */
-        if (v > radii[lo]) lo = lower_bound(radii, a, v); /* floor rises */
-        int leaf = (child_lo[nd] == child_hi[nd]);
-        if (!leaf && route_max > 0 && node_size[nd] <= route_max && hi - lo == 1)
-            leaf = 1; /* virtual leaf: small subtree, single-rung window */
-        if (leaf) {
-            leaf_nodes[wl] = nd; leaf_pos[wl] = p;
-            leaf_lo[wl] = lo; leaf_hi[wl] = hi; leaf_d[wl] = d;
-            wl++;
-            continue;
-        }
-        if (vp_split) {
-            if (d <= rh) { /* the vantage point itself */
-                int64_t c = clipped_left(radii, a, d, lo);
-                double *row = diff + p * stride;
-                row[c] += 1.0;
-                row[hi] -= 1.0;
-            }
-            double t = threshold[nd];
-            int64_t ci = child_lo[nd];
-            double vi = d - t;
-            if (vi <= rh) { /* inside child still reachable */
-                out_nodes[wn] = ci; out_pos[wn] = p;
-                out_lo[wn] = clipped_left(radii, a, vi, lo); out_hi[wn] = hi;
-                wn++;
-            }
-            double vo = t - d;
-            if (vo < rh) { /* outside child: side="right" boundary */
-                out_nodes[wn] = ci + 1; out_pos[wn] = p;
-                out_lo[wn] = clipped_right(radii, a, vo, lo); out_hi[wn] = hi;
-                wn++;
-            }
-        } else {
-            for (int64_t c = child_lo[nd]; c < child_hi[nd]; c++) {
-                out_nodes[wn] = c; out_pos[wn] = p;
-                out_lo[wn] = lo; out_hi[wn] = hi;
-                if (emit_dpar) out_dpar[wn] = d;
-                wn++;
-            }
-        }
-    }
-    counters[0] = wl;
-    counters[1] = wn;
-}
-
-/* Single-rung rectangular leaf kernel over NaN-padded member blocks:
- * the compiled twin of _rect_single_rung.  Every (entry, bucket-slot)
- * cell gets the float32 squared-distance expansion
- * ||q||^2 + ||m||^2 - 2 q.m against r^2 bracketed by an absolute
- * margin: provably-inside cells count, provably-outside cells drop,
- * and only the sliver in between pays the exact float64 metric.  NaN
- * padding fails every comparison and can never be counted.
- *
- * Band settlement:
- *   - ecol0 != 0: 1-/2-d euclidean data; the exact re-check runs right
- *     here with the same column-take expansion as the fused advance
- *     (bitwise identical to MetricSpace.paired_distances), and the
- *     per-entry counts are scattered into diff directly.
- *   - ecol0 == 0: band (entry, slot) pairs are emitted (capacity
- *     n * width) for the caller to settle through the exact metric;
- *     cnt_out holds the sure-in counts and the caller scatters.
- *
- * counters[0] <- number of band cells (emitted, or settled inline).
- */
-void repro_rect_rung(
-    int64_t n, int64_t width, int64_t ncols,
-    const int64_t *nodes, const int64_t *pos, const int64_t *lo,
-    const int64_t *qids,
-    const float **pad, const float *sq_pad,
-    const float **qcols, const float *qsq,
-    const double *radii, double eps_abs,
-    const double *ecol0, const double *ecol1, const double *esq,
-    const int64_t *elems, const int64_t *elem_lo,
-    double *diff, int64_t stride,
-    int64_t *band_entry, int64_t *band_col,
-    int64_t *cnt_out,
-    int64_t *counters)
-{
-    int64_t wb = 0;
-    for (int64_t k = 0; k < n; k++) {
-        int64_t nd = nodes[k];
-        int64_t q = (qids != 0) ? qids[pos[k]] : pos[k];
-        double r = radii[lo[k]]; /* the one undecided rung */
-        /* Signed square: a negative rung counts nothing (rr < 0 puts
-         * every cell above the sure-in bracket); the margin mirrors
-         * _rect_single_rung's float64 arithmetic exactly. */
-        double rr = r * fabs(r);
-        double eps = eps_abs + 1e-6 * rr;
-        float r2lo = (float)(rr - eps);
-        float r2hi = (float)(rr + eps);
-        float qv[64];
-        for (int64_t m = 0; m < ncols; m++) qv[m] = qcols[m][q];
-        float q2 = qsq[q];
-        const float *sqrow = sq_pad + nd * width;
-        int64_t cnt = 0;
-        for (int64_t j = 0; j < width; j++) {
-            float ab = pad[0][nd * width + j] * qv[0];
-            for (int64_t m = 1; m < ncols; m++) ab += pad[m][nd * width + j] * qv[m];
-            float s2 = (sqrow[j] + q2) - 2.0f * ab;
-            if (s2 <= r2lo) { cnt++; continue; } /* provably inside */
-            if (s2 <= r2hi) { /* margin band: needs the exact metric */
-                wb++;
-                if (ecol0 != 0) {
-                    int64_t mb = elems[elem_lo[nd] + j];
-                    double ab2 = ecol0[q] * ecol0[mb];
-                    if (ecol1 != 0) ab2 += ecol1[q] * ecol1[mb];
-                    double s = (esq[q] + esq[mb]) - 2.0 * ab2;
-                    if (s <= 0.0) s = 0.0;
-                    if (sqrt(s) <= r) cnt++;
-                } else {
-                    band_entry[wb - 1] = k;
-                    band_col[wb - 1] = j;
-                }
-            }
-        }
-        cnt_out[k] = cnt;
-        if (ecol0 != 0 && cnt > 0) { /* settled: scatter the rung credit */
-            double *row = diff + pos[k] * stride;
-            row[lo[k]] += (double)cnt;
-            row[lo[k] + 1] -= (double)cnt;
-        }
-    }
-    counters[0] = wb;
-}
-
-/* L_p distance between two dim-vectors: kind 1 = L1, 2 = L2, 3 = L_inf,
- * 0 = general p.  Plain differences, any summation order: the caller
- * never compares these floats with numpy's, only brackets them. */
-static double lp_distance(const double *x, const double *y, int64_t dim,
-                          int64_t kind, double p) {
+/* The L_p distance without its final root, between two dim-vectors:
+ * kind 1 = L1, 2 = L2 (the squared sum), 3 = L_inf, 0 = general p (the
+ * sum of p-th powers).  Monotone in the distance, so a scan compares it
+ * against key_bound(bound) instead of paying a root per member.  Plain
+ * differences, any summation order: the callers never compare these
+ * floats with numpy's, only bracket them. */
+static inline double lp_key(const double *x, const double *y, int64_t dim,
+                            int64_t kind, double p) {
     double s = 0.0;
     if (kind == 2) {
         for (int64_t i = 0; i < dim; i++) {
             double t = x[i] - y[i];
             s += t * t;
         }
-        return sqrt(s);
-    }
-    if (kind == 1) {
+    } else if (kind == 1) {
         for (int64_t i = 0; i < dim; i++) s += fabs(x[i] - y[i]);
-        return s;
-    }
-    if (kind == 3) {
+    } else if (kind == 3) {
         for (int64_t i = 0; i < dim; i++) {
             double t = fabs(x[i] - y[i]);
             if (t > s) s = t;
         }
-        return s;
+    } else {
+        for (int64_t i = 0; i < dim; i++) s += pow(fabs(x[i] - y[i]), p);
     }
-    for (int64_t i = 0; i < dim; i++) s += pow(fabs(x[i] - y[i]), p);
-    return pow(s, 1.0 / p);
+    return s;
+}
+
+/* The L_p distance itself: lp_key with its root. */
+static double lp_distance(const double *x, const double *y, int64_t dim,
+                          int64_t kind, double p) {
+    double s = lp_key(x, y, dim, kind, p);
+    if (kind == 2) return sqrt(s);
+    if (kind == 0) return pow(s, 1.0 / p);
+    return s;
+}
+
+/* A distance bound in lp_key's units.  A negative bound maps to -1,
+ * below every key: squaring it would turn "nothing is that close" into
+ * a positive threshold. */
+static double key_bound(double v, int64_t kind, double p) {
+    if (v < 0.0) return -1.0;
+    if (kind == 2) return v * v;
+    if (kind == 0) return pow(v, p);
+    return v;
+}
+
+/* Range count of one radius r for queries [counters[0], nq), each
+ * walked on its own, depth first, over the tree's arrays.
+ *
+ * Decisions.  d is the kernel's distance from the query to a node's
+ * center, R the node's covering radius, m = margin[row]:
+ *   - swallow: d + R <= r - m credits size[node] without a visit below;
+ *   - prune:   d - R >  r + m drops the node;
+ *   - scan:    a leaf, or a subtree of at most vleaf members, is scanned
+ *     member by member over its contiguous elems slice (coords holds
+ *     the members' coordinates in elems order): a member whose kernel
+ *     distance is at most r - m counts, one beyond r + m does not, and
+ *     one in between becomes a band pair;
+ *   - a VP node (vp_split) counts or bands its vantage like a member,
+ *     swallows its inside child (every member within the threshold t)
+ *     when d + t <= r - m, prunes it when d - t > r + m, and prunes its
+ *     outside child (every member beyond t) when t - d > r + m;
+ *   - any other node descends into every child.
+ * Band pairs (band_row = query row, band_elem = element id) are left
+ * for the caller, which re-measures each through numpy and adds the
+ * pairs within r to counts[row].
+ *
+ * Exactness.  Let E bound the error of any one computed distance: the
+ * kernel's, numpy's paired / einsum value D~, and the build-time floats
+ * (each radius is a max of numpy distances from the center, each
+ * threshold separates numpy distances: inside <= t < outside).  With
+ * m >= 4E every decision taken outside the margin agrees with numpy's
+ * D~(q, x) <= r for every member x it covers.  Swallow: the exact
+ * distance is at most d + E + R + E, so D~ <= d + R + 3E <= r - m + 3E
+ * < r; the inside-child swallow is the same argument with t for R.
+ * Prune: the exact distance is at least d - R - 2E (d - t - 2E for the
+ * inside child, t - d - 2E for the outside child), so D~ > r + m - 3E
+ * > r.  A member or vantage
+ * decided outside [r - m, r + m] is off by at most 2E.  The float
+ * rounding of the bound sums (and of squaring a bound for lp_key) is
+ * a few ulps of the operands, far inside the spare E.  Everything in
+ * the margin is descended or banded, and the caller's re-measurement
+ * is numpy's own decision, so counts equal brute force.  When r - m
+ * is negative nothing is sure-in (key_bound never squares it); when
+ * r + m is negative every distance is beyond r, so the row counts 0.
+ *
+ * Scratch: a node stack of n_nodes entries, allocated per call; each
+ * node is pushed at most once per query, by its parent.
+ *
+ * counters[0] <- next row to walk (in: first row)
+ * counters[1] <- band pairs written (in: write offset)
+ * counters[2] += distance evaluations (centers, scanned members, and
+ *                the second pass over a slice with band members)
+ * counters[3] += node visits
+ * counters[4] += members scanned
+ * counters[5] += scanned members settled here (not banded)
+ * A row writes counts[row] and adds to the other counters only when it
+ * completes.  When its band pairs would pass cap, the row is undone
+ * and the call stops with counters[0] at that row; the caller settles
+ * the band written so far, grows the buffer when the row alone did not
+ * fit (a row bands at most every element once), and calls again.
+ * Returns 0, or -1 when the stack cannot be allocated.
+ */
+int64_t repro_count(
+    int64_t nq, const int64_t *qids, int64_t dim, const double *data,
+    const double *coords, int64_t kind, double p,
+    double r, const double *margin,
+    int64_t n_nodes, const int64_t *center, const double *threshold,
+    const double *radius, const int64_t *size,
+    const int64_t *child_lo, const int64_t *child_hi,
+    const int64_t *elem_lo, const int64_t *elem_hi, const int64_t *elems,
+    int64_t vp_split, int64_t vleaf,
+    int64_t *counts, int64_t cap, int64_t *band_row, int64_t *band_elem,
+    int64_t *counters)
+{
+    int64_t *stack = malloc(n_nodes * sizeof(int64_t));
+    if (!stack) return -1;
+    int64_t written = counters[1];
+    int64_t row = counters[0];
+    for (; row < nq; row++) {
+        double m = margin[row];
+        double lo = r - m, hi = r + m;
+        if (hi < 0.0) { /* every distance is >= 0 > r */
+            counts[row] = 0;
+            continue;
+        }
+        double klo = key_bound(lo, kind, p), khi = key_bound(hi, kind, p);
+        const double *q = data + qids[row] * dim;
+        int64_t start = written;
+        int64_t count = 0, evals = 0, visits = 0, scanned = 0, settled = 0;
+        int64_t top = 0;
+        stack[top++] = 0;
+        while (top > 0) {
+            int64_t nd = stack[--top];
+            if (size[nd] == 0) continue;
+            visits++;
+            int64_t c = center[nd];
+            double d = lp_distance(q, data + c * dim, dim, kind, p);
+            evals++;
+            double rad = radius[nd];
+            if (d + rad <= lo) { count += size[nd]; continue; }
+            if (d - rad > hi) continue;
+            if (child_lo[nd] == child_hi[nd] || size[nd] <= vleaf) {
+                int64_t k0 = elem_lo[nd], k1 = elem_hi[nd];
+                int64_t n_in = 0, n_near = 0; /* first pass, no branches */
+                for (int64_t k = k0; k < k1; k++) {
+                    double s = lp_key(q, coords + k * dim, dim, kind, p);
+                    n_in += (s <= klo);
+                    n_near += (s <= khi);
+                }
+                int64_t n_band = n_near - n_in;
+                count += n_in;
+                evals += k1 - k0;
+                scanned += k1 - k0;
+                settled += (k1 - k0) - n_band;
+                if (n_band) { /* second pass: emit the band members */
+                    if (written + n_band > cap) goto undo;
+                    for (int64_t k = k0; k < k1; k++) {
+                        double s = lp_key(q, coords + k * dim, dim, kind, p);
+                        if (s > klo && s <= khi) {
+                            band_row[written] = row;
+                            band_elem[written] = elems[k];
+                            written++;
+                        }
+                    }
+                    evals += k1 - k0;
+                }
+                continue;
+            }
+            if (vp_split) {
+                if (d <= lo) {
+                    count++;
+                } else if (d <= hi) { /* the vantage itself, in the band */
+                    if (written == cap) goto undo;
+                    band_row[written] = row;
+                    band_elem[written] = c;
+                    written++;
+                }
+                double t = threshold[nd];
+                int64_t ci = child_lo[nd];
+                if (d + t <= lo) count += size[ci];    /* inside, swallowed */
+                else if (!(d - t > hi)) stack[top++] = ci;
+                if (!(t - d > hi)) stack[top++] = ci + 1; /* outside child */
+            } else {
+                for (int64_t ch = child_lo[nd]; ch < child_hi[nd]; ch++)
+                    stack[top++] = ch;
+            }
+        }
+        counts[row] = count;
+        counters[2] += evals;
+        counters[3] += visits;
+        counters[4] += scanned;
+        counters[5] += settled;
+        continue;
+    undo:
+        written = start;
+        break;
+    }
+    counters[0] = row;
+    counters[1] = written;
+    free(stack);
+    return 0;
 }
 
 /* Exact k=1 nearest-element search for rows [counters[0], m), each row

@@ -38,14 +38,16 @@ ENV_CACHE = "REPRO_CKERNEL_CACHE"
 #: ABI stamp; must match ``REPRO_CKERNEL_ABI`` in ``kernel.c`` (the
 #: loader probes the built library for it, so a foreign or truncated
 #: ``.so`` under the right name is rejected and rebuilt).
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 SOURCE_PATH = Path(__file__).resolve().with_name("kernel.c")
 
-#: -ffp-contract=off is load-bearing: the bit-identity contract with the
-#: numpy walk assumes every float64 add/sub/mul/sqrt rounds separately,
-#: never fused into an FMA.  -fno-math-errno only drops the errno side
-#: channel of sqrt; the result bits are untouched.
+#: -ffp-contract=off keeps every float64 add/sub/mul rounding separately,
+#: never fused into an FMA, so a distance evaluates to the same bits at
+#: every call site: the count walk's second scan pass must re-find
+#: exactly the band members its first pass counted.  -fno-math-errno
+#: only drops the errno side channel of sqrt; the result bits are
+#: untouched.
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 
 _CANDIDATE_COMPILERS = ("cc", "gcc", "clang")
@@ -154,33 +156,14 @@ class CKernel:
                 f"kernel ABI mismatch: built {got}, expected {ABI_VERSION}"
             )
         i64, vp, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-        self.dpar_filter = lib.repro_dpar_filter
-        self.dpar_filter.restype = i64
-        self.dpar_filter.argtypes = [i64, i64] + [vp] * 8
-        self.advance = lib.repro_advance
-        self.advance.restype = None
-        self.advance.argtypes = (
-            [i64, i64, vp]          # n, a, radii
-            + [vp] * 4              # nodes, pos, lo, hi
-            + [vp] * 2              # d_in, dpar_in
-            + [vp] * 3 + [vp, i64]  # qids, qcol0, qcol1, sqn, ncols
-            + [vp] * 7              # center..threshold, d_parent
-            + [i64] * 3             # vp_split, route_max, emit_dpar
-            + [vp, i64]             # diff, stride
-            + [vp] * 5              # leaf buffers
-            + [vp] * 5              # next-frontier buffers
-            + [vp]                  # counters
-        )
-        self.rect_rung = lib.repro_rect_rung
-        self.rect_rung.restype = None
-        self.rect_rung.argtypes = (
-            [i64] * 3               # n, width, ncols
-            + [vp] * 4              # nodes, pos, lo, qids
-            + [vp] * 4              # pad, sq_pad, qcols, qsq
-            + [vp, dbl]             # radii, eps_abs
-            + [vp] * 5              # ecol0, ecol1, esq, elems, elem_lo
-            + [vp, i64]             # diff, stride
-            + [vp] * 3              # band_entry, band_col, cnt_out
+        self.count = lib.repro_count
+        self.count.restype = i64
+        self.count.argtypes = (
+            [i64, vp, i64, vp, vp]  # nq, qids, dim, data, coords
+            + [i64, dbl, dbl, vp]   # kind, p, r, margin
+            + [i64] + [vp] * 9      # n_nodes, center..elems
+            + [i64, i64]            # vp_split, vleaf
+            + [vp, i64, vp, vp]     # counts, cap, band_row, band_elem
             + [vp]                  # counters
         )
         self.nearest = lib.repro_nearest

@@ -197,8 +197,15 @@ class MetricSpace:
             raise ValueError(f"paired_distances needs equal lengths, got {li.size} and {ri.size}")
         if self.is_vector:
             if self._vm.p == 2.0:
-                fast = self.paired_fast_columns()
-                if fast is not None:
+                sq = self._sqnorms
+                if sq is None:
+                    # Cache the row squared norms once per space:
+                    # einsum's per-row reduction is row-independent, so
+                    # gathered norms are bitwise identical to freshly
+                    # computed ones, and the walks' huge paired calls
+                    # drop from three einsum passes to one.
+                    sq = self._sqnorms = np.einsum("ij,ij->i", self.data, self.data)
+                if 1 <= self.data.shape[1] <= 2:
                     # Column-take fast path: row gathers from a 2-d
                     # array cost a small memcpy per row, while 1-d
                     # ``take`` streams.  The accumulation
@@ -207,21 +214,18 @@ class MetricSpace:
                     # columns (einsum unrolls differently beyond that,
                     # hence the dim gate), so every float is bitwise
                     # identical to :meth:`VectorMetric.paired`.
-                    cols, sq = fast
+                    cols = self._pcols
+                    if cols is None:
+                        cols = self._pcols = [
+                            np.ascontiguousarray(self.data[:, k])
+                            for k in range(self.data.shape[1])
+                        ]
                     ab = cols[0].take(li) * cols[0].take(ri)
                     for col in cols[1:]:
                         ab += col.take(li) * col.take(ri)
                     out = (sq.take(li) + sq.take(ri)) - 2.0 * ab
                     np.maximum(out, 0.0, out=out)
                     return np.sqrt(out, out=out)
-                # Cache the row squared norms once per space: einsum's
-                # per-row reduction is row-independent, so gathered
-                # norms are bitwise identical to freshly computed ones,
-                # and the walks' huge paired calls drop from three
-                # einsum passes to one.
-                sq = self._sqnorms
-                if sq is None:
-                    sq = self._sqnorms = np.einsum("ij,ij->i", self.data, self.data)
                 return self._vm.paired(
                     self.data[li], self.data[ri], sq_a=sq[li], sq_b=sq[ri]
                 )
@@ -230,35 +234,6 @@ class MetricSpace:
             [self.metric(self.data[i], self.data[j]) for i, j in zip(li, ri)],
             dtype=np.float64,
         )
-
-    def paired_fast_columns(self) -> tuple | None:
-        """``(coordinate columns, squared norms)`` backing the 1-/2-d
-        euclidean paired fast path, or ``None`` elsewhere.
-
-        The columns are contiguous float64 copies of each coordinate
-        and the norms the cached einsum row reduction — exactly the
-        operands :meth:`paired_distances` consumes, exposed so the
-        compiled walk kernel (:mod:`repro.index.ckernel`) can fuse the
-        identical expansion ``sqrt(max(sq_l + sq_r - 2*ab, 0))`` into
-        its C loop bit for bit.  The dimensionality gate matches the
-        fast path's: beyond two columns einsum's unroll order differs
-        from a sequential per-column sum, so fusion would break
-        bit-identity.
-        """
-        if not (self.is_vector and self._vm is not None and self._vm.p == 2.0):
-            return None
-        if not (1 <= self.data.shape[1] <= 2):
-            return None
-        sq = self._sqnorms
-        if sq is None:
-            sq = self._sqnorms = np.einsum("ij,ij->i", self.data, self.data)
-        cols = self._pcols
-        if cols is None:
-            cols = self._pcols = [
-                np.ascontiguousarray(self.data[:, k])
-                for k in range(self.data.shape[1])
-            ]
-        return cols, sq
 
     def float32_coords(self) -> tuple | None:
         """Float32 coordinate view backing approximate distance bounds.

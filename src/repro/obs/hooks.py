@@ -125,7 +125,7 @@ def process_sinks_snapshot() -> dict[str, dict[str, float]]:
 
 #: Walk-sink keys -> exposed family names.  The keys are exactly the
 #: counters :func:`~repro.index.base.level_count_walk` and the compiled
-#: kernel already accumulate (plus the walk-level ``walks``/``seconds``
+#: walks already accumulate (plus the walk-level ``walks``/``seconds``
 #: added at merge time) — the registry exposes them, it does not
 #: re-derive them.
 _WALK_FAMILIES = (
@@ -134,9 +134,9 @@ _WALK_FAMILIES = (
     ("seconds", "repro_walk_seconds_total",
      "Wall-clock seconds spent inside frontier walks"),
     ("steps", "repro_walk_depth_steps_total",
-     "Level-synchronous depth steps advanced"),
+     "Level-synchronous depth steps advanced, or compiled kernel calls"),
     ("entries", "repro_walk_frontier_entries_total",
-     "(query, node) frontier entries processed"),
+     "(query, node) frontier entries processed, or compiled node visits"),
     ("searchsorted_calls", "repro_walk_searchsorted_calls_total",
      "Radius-window searchsorted/boundary-compare dispatches"),
     ("distance_calls", "repro_walk_distance_dispatches_total",
@@ -144,9 +144,10 @@ _WALK_FAMILIES = (
     ("scatter_calls", "repro_walk_scatter_calls_total",
      "Count-matrix diff scatters"),
     ("leaf_entries_total", "repro_walk_rect_cells_total",
-     "Rectangular leaf-kernel cells evaluated (float32 pass)"),
+     "Leaf cells decided per pair: float32 rect-kernel cells, or members "
+     "the compiled count walk scanned"),
     ("leaf_entries_filtered", "repro_walk_rect_cells_filtered_total",
-     "Rect-kernel cells settled without the exact float64 re-check"),
+     "Leaf cells settled without the exact numpy re-measurement"),
 )
 
 _ENGINE_FAMILIES = (

@@ -157,7 +157,7 @@ class TestBulkMatchesInsertAndBruteForce:
         q = np.arange(len(space))
         expected = BruteForceIndex(space).count_within_many(q, radii)
         flat = _make(cls, space).flat
-        for walk in walks():
+        for walk in walks(space):
             got = walk(space, q, radii, flat)
             assert np.array_equal(got, expected), walk.__name__
 

@@ -1,18 +1,22 @@
 """The compiled walk kernel: differential correctness and the loader.
 
-The compiled walk's contract is bit-identity with the brute-force
-oracle (:class:`~repro.index.bruteforce.BruteForceIndex`) and so with
-the numpy :func:`repro.index.base.level_count_walk` it mirrors — for
-every flat tree family, on vector, string, and tree data, across the
-regression radii (negative, 0 with duplicates, ties on exact pairwise
-distances), and for any slicing of its frontiers.  ``count_walk`` runs
-it exactly when the kernel builds; no other switch exists.  On top of
-that sit the loader's guarantees: the on-disk ``.so`` cache is keyed by
-source + toolchain (hit on re-probe, miss on a source edit), a torn or
-foreign object under the right name is rebuilt once, a missing compiler
-degrades to the numpy walk with ``kernel_info`` naming the cause,
-``REPRO_NO_CKERNEL=1`` forces the same fallback, and two processes
-racing the first build both load an intact library.
+The compiled count walk (``repro_count``, one call per radius) decides
+a node or member only outside a proven margin around the radius and
+re-measures the band in between through numpy, so its counts must equal
+the brute-force oracle (:class:`~repro.index.bruteforce.BruteForceIndex`)
+bit for bit — for every flat tree family, every vector L_p space, on
+full and subset trees, across the regression radii (negative, 0 with
+duplicates, ties on exact pairwise distances), on data shifted so far
+that the margin swamps the radii, for any band-buffer capacity, and
+from two threads at once.  Object metrics never reach the kernel:
+``count_walk`` sends them to the numpy level walk, which must match
+brute force on its own.  On top of that sit the loader's guarantees:
+the on-disk ``.so`` cache is keyed by source + toolchain (hit on
+re-probe, miss on a source edit), a torn or foreign object under the
+right name is rebuilt once, a missing compiler degrades to the numpy
+walk with ``kernel_info`` naming the cause, ``REPRO_NO_CKERNEL=1``
+forces the same fallback, and two processes racing the first build
+both load an intact library.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -79,8 +84,8 @@ def vspace():
 
 @pytest.fixture(scope="module")
 def wide_vspace():
-    """5-d vector data: exercises the generic (band-emitting) rect path
-    instead of the fused 1-/2-d euclidean columns."""
+    """5-d vector data: the einsum re-measurement path of the band
+    (1-/2-d data settles through the column-take expansion)."""
     rng = np.random.default_rng(7)
     X = np.vstack([rng.normal(0, 1, (60, 5)), np.zeros((4, 5))])
     return MetricSpace(X)
@@ -114,6 +119,12 @@ def tspace():
 SPACES = ["vspace", "wide_vspace", "sspace", "tspace"]
 
 
+def walk_for(space):
+    """The walk under test for ``space``: the kernel for vector spaces,
+    ``count_walk`` (the numpy level walk) for object metrics."""
+    return compiled_count_walk if space.is_vector else count_walk
+
+
 @needs_kernel
 class TestCompiledDifferential:
     """compiled == level == brute force, bit for bit, everywhere."""
@@ -126,8 +137,11 @@ class TestCompiledDifferential:
         q = np.arange(len(space))
         flat = cls(space).flat
         expected = brute(space, radii)
-        assert np.array_equal(compiled_count_walk(space, q, radii, flat), expected)
+        assert np.array_equal(walk_for(space)(space, q, radii, flat), expected)
         assert np.array_equal(level_count_walk(space, q, radii, flat), expected)
+        if not space.is_vector:
+            with pytest.raises(TypeError, match="vector"):
+                compiled_count_walk(space, q, radii, flat)
 
     @pytest.mark.parametrize("cls", FLAT_KINDS)
     def test_subset_queries(self, cls, vspace):
@@ -141,14 +155,22 @@ class TestCompiledDifferential:
 
     @pytest.mark.parametrize("fixture", SPACES)
     def test_small_capacity_leaves(self, fixture, request):
-        """Tiny leaves force deep frontiers and many single-rung calls."""
+        """Tiny leaves force deep trees and many scanned leaves."""
         space = request.getfixturevalue(fixture)
         radii = hard_radii(space)
         q = np.arange(len(space))
         flat = MTree(space, capacity=4).flat
         assert np.array_equal(
-            compiled_count_walk(space, q, radii, flat), brute(space, radii)
+            walk_for(space)(space, q, radii, flat), brute(space, radii)
         )
+
+    def test_out_of_range_query_ids_rejected(self, vspace):
+        """The kernel reads query rows by pointer: ids outside the space
+        raise before the call instead of reading past ``data``."""
+        flat = VPTree(vspace).flat
+        for bad in ([0, len(vspace)], [-1, 3]):
+            with pytest.raises(IndexError):
+                compiled_count_walk(vspace, np.array(bad), np.array([1.0]), flat)
 
     def test_empty_radii_and_empty_queries(self, vspace):
         flat = VPTree(vspace).flat
@@ -164,41 +186,51 @@ class TestCompiledDifferential:
     @pytest.mark.parametrize("pieces", WORKER_COUNTS)
     @pytest.mark.parametrize("fixture", SPACES)
     def test_frontier_resume_piece_invariance(self, pieces, fixture, request, monkeypatch):
-        """Frontiers sliced into pieces of at most ``pieces`` entries
-        (the walk's ``_LEVEL_CHUNK``, shrunk from 2**19), each walked to
-        completion, still sum to brute force."""
+        """A band buffer of ``pieces`` pairs (the walk's ``_BAND_CAP``,
+        shrunk from 2**14) fills, is settled, and the walk resumes at
+        the row that did not fit: counts still equal brute force.  The
+        radius-0 rungs band every duplicate, so the buffer does fill.
+        Object spaces walk the numpy level walk."""
         space = request.getfixturevalue(fixture)
         radii = boundary_radii(space)
         q = np.arange(len(space))
         flat = VPTree(space).flat
-        monkeypatch.setattr(ckernel_walk, "_LEVEL_CHUNK", pieces)
-        assert np.array_equal(compiled_count_walk(space, q, radii, flat), brute(space, radii))
+        monkeypatch.setattr(ckernel_walk, "_BAND_CAP", pieces)
+        assert np.array_equal(walk_for(space)(space, q, radii, flat), brute(space, radii))
 
     @pytest.mark.parametrize("cls", [MTree, SlimTree])
     def test_frontier_resume_keeps_caller_arrays(self, cls, vspace, monkeypatch):
-        """The kernel compacts frontier slices in place through its
-        d_parent filter; it must never write to the caller's queries,
-        radii or tree arrays, which it also reads by pointer."""
+        """The kernel reads the queries, radii, data and tree arrays by
+        pointer and resumes after every full band buffer; it must never
+        write to any of them."""
         radii = boundary_radii(vspace)
         q = np.arange(len(vspace))
         flat = cls(vspace, capacity=4).flat
-        before = [a.copy() for a in (q, radii, *flat.to_arrays().values())]
-        monkeypatch.setattr(ckernel_walk, "_LEVEL_CHUNK", 3)
+        kept = (q, radii, vspace.data, *flat.to_arrays().values())
+        before = [a.copy() for a in kept]
+        monkeypatch.setattr(ckernel_walk, "_BAND_CAP", 3)
         counts = compiled_count_walk(vspace, q, radii, flat)
         assert np.array_equal(counts, brute(vspace, radii))
-        for kept, orig in zip((q, radii, *flat.to_arrays().values()), before):
-            assert np.array_equal(kept, orig)
+        for now, orig in zip(kept, before):
+            assert np.array_equal(now, orig)
 
     def test_stats_counters_populated(self, vspace):
+        """Kernel calls, node visits, distance dispatches and scanned /
+        settled members; the level walk's searchsorted and scatter
+        dispatches do not exist here."""
         radii = boundary_radii(vspace)
         q = np.arange(len(vspace))
         flat = VPTree(vspace).flat
         stats: dict = {}
         counts = compiled_count_walk(vspace, q, radii, flat, stats=stats)
         assert np.array_equal(counts, brute(vspace, radii))
-        for key in ("steps", "entries", "distance_calls",
-                    "searchsorted_calls", "scatter_calls"):
+        assert stats["steps"] == radii.size  # one kernel call per radius
+        for key in ("entries", "distance_calls", "leaf_entries_total",
+                    "leaf_entries_filtered"):
             assert stats[key] > 0
+        assert stats["distance_calls"] > stats["steps"]  # the radius-0 bands
+        assert stats["leaf_entries_filtered"] <= stats["leaf_entries_total"]
+        assert stats["searchsorted_calls"] == stats["scatter_calls"] == 0
 
     def test_walk_attribute_selects_compiled(self, vspace, monkeypatch):
         """Trees carry no walk attribute any more; their queries run the
@@ -220,6 +252,139 @@ class TestCompiledDifferential:
             tree.count_within(q, float(radii[3])), brute(vspace, radii[3:4])[:, 0]
         )
         assert len(calls) == 2
+
+
+def lp_space(metric, dim: int, n: int = 90, seed: int = 0) -> MetricSpace:
+    """Clustered ``dim``-d data with duplicates and a tight pair."""
+    rng = np.random.default_rng(seed + dim)
+    X = np.vstack([
+        rng.normal(0.0, 1.0, (n, dim)),
+        rng.normal(4.0, 0.01, (6, dim)),
+        np.zeros((4, dim)),  # exact duplicates: the radius-0 class
+    ])
+    return MetricSpace(X, metric)
+
+
+@needs_kernel
+class TestCompiledLp:
+    """Every L_p order and dimensionality the kernel's metric switch and
+    scan loops take, every family, against brute force."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 64, 65, 100])
+    @pytest.mark.parametrize("metric", ["cityblock", "chebyshev", 3.0, None])
+    def test_every_family_matches_brute_force(self, metric, dim):
+        space = lp_space(metric, dim)
+        radii = hard_radii(space)
+        q = np.arange(len(space))
+        expected = brute(space, radii)
+        for cls in FLAT_KINDS:
+            got = compiled_count_walk(space, q, radii, cls(space).flat)
+            assert np.array_equal(got, expected), cls.__name__
+
+    @pytest.mark.parametrize("metric", ["cityblock", None])
+    def test_subset_tree_with_unordered_query_ids(self, metric):
+        """The inlier-index shape: a tree over a subset, queried with
+        ids in any order, some indexed and some not."""
+        space = lp_space(metric, 3, n=150)
+        rng = np.random.default_rng(3)
+        ids = np.sort(rng.choice(len(space), size=100, replace=False))
+        q = rng.permutation(len(space))[:70]
+        radii = hard_radii(space)
+        expected = brute(space, radii, q, ids)
+        for cls in FLAT_KINDS:
+            got = compiled_count_walk(space, q, radii, cls(space, ids).flat)
+            assert np.array_equal(got, expected), cls.__name__
+
+    @pytest.mark.parametrize("metric", ["cityblock", None])
+    def test_far_shifted_data_bands_and_grows(self, metric, monkeypatch):
+        """Data shifted by 1e7 makes the margin swamp unit-scale radii,
+        so nearly every pair is banded; with a one-pair initial buffer
+        the walk must grow it, settle it many times, and still count
+        like brute force."""
+        rng = np.random.default_rng(11)
+        X = np.vstack([rng.normal(0.0, 1.0, (60, 3)), np.zeros((4, 3))]) + 1e7
+        space = MetricSpace(X, metric)
+        radii = np.array([-0.5, 0.0, 0.3, 1.0, 2.5])
+        settled: list[int] = []
+        settle = ckernel_walk._settle_band
+
+        def spy(space_, qids, rows, elems, r, counts):
+            settled.append(rows.size)
+            return settle(space_, qids, rows, elems, r, counts)
+
+        monkeypatch.setattr(ckernel_walk, "_BAND_CAP", 1)
+        monkeypatch.setattr(ckernel_walk, "_settle_band", spy)
+        q = np.arange(len(space))
+        got = compiled_count_walk(space, q, radii, VPTree(space).flat)
+        assert np.array_equal(got, brute(space, radii))
+        assert max(settled) > 1  # the buffer grew past its one pair
+        assert len(settled) > radii.size  # and was settled mid-radius
+
+    @pytest.mark.parametrize("metric", ["cityblock", None])
+    def test_far_shifted_tie_radii_every_family(self, metric):
+        """Radii at numpy's own pairwise distances, and one ulp either
+        side, on data shifted by 1e7: einsum's round-off there breaks
+        the triangle inequality between computed floats, so a swallow
+        or prune taken without the margin miscounts (the numpy level
+        walk, which has none, does)."""
+        rng = np.random.default_rng(11)
+        X = np.vstack([rng.normal(0.0, 1.0, (150, 3)), np.zeros((4, 3))]) + 1e7
+        space = MetricSpace(X, metric)
+        d = np.sort(space.distances(0, np.arange(len(space))))[::7]
+        radii = np.unique(np.concatenate([
+            d, np.nextafter(d, -np.inf), np.nextafter(d, np.inf),
+            np.linspace(0.0, d.max(), 25),
+        ]))
+        q = np.arange(len(space))
+        expected = brute(space, radii)
+        for cls in FLAT_KINDS:
+            got = compiled_count_walk(space, q, radii, cls(space).flat)
+            assert np.array_equal(got, expected), cls.__name__
+
+    def test_two_threads_count_over_one_tree(self):
+        """ctypes releases the GIL: two threads walking one tree (and
+        filling its scan cache) at once, switching often, both get brute
+        force's counts."""
+        space = lp_space(None, 3, n=400)
+        radii = hard_radii(space)
+        flat = VPTree(space).flat
+        q = np.arange(len(space))
+        expected = brute(space, radii)
+        results: list = [None, None]
+
+        def run(slot):
+            for _ in range(5):
+                results[slot] = compiled_count_walk(space, q, radii, flat)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("dim, metric", [(3, "cityblock"), (80, None)])
+    def test_engine_plans_agree_on_one_rung_inputs(self, dim, metric, shard_small_inputs):
+        """The kernel walks every vector space one rung at a time:
+        batched, ``per_point`` and parallel fits stay bit-identical."""
+        space = lp_space(metric, dim, n=250, seed=1)
+        fits = [
+            McCatch(index="vptree", engine_mode=mode, workers=workers).fit(space)
+            for mode, workers in (("batched", None), ("per_point", None), ("parallel", 2))
+        ]
+        for other in fits[1:]:
+            assert np.array_equal(other.point_scores, fits[0].point_scores)
+            assert np.array_equal(other.oracle.counts, fits[0].oracle.counts)
+            assert [m.indices.tolist() for m in other.microclusters] == [
+                m.indices.tolist() for m in fits[0].microclusters
+            ]
 
 
 @needs_kernel

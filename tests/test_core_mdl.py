@@ -1,13 +1,17 @@
 """Tests for repro.core.mdl: universal code length, Def. 5 cost, splits."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import mdl
 from repro.core.mdl import (
+    CODE_TABLE_CAP,
     best_split,
     cost_of_compression,
     universal_code_length,
@@ -52,6 +56,67 @@ class TestUniversalCodeLength:
         values = [1, 2, 5, 100, 1000]
         vec = universal_code_lengths(values)
         assert np.allclose(vec, [universal_code_length(v) for v in values])
+
+
+class TestCodeLengthTable:
+    """The lazily grown ⟨z⟩ table behind :func:`universal_code_lengths`
+    is the scalar function, bit for bit, below and above its cap."""
+
+    @pytest.fixture
+    def fresh_table(self, monkeypatch):
+        monkeypatch.setattr(mdl, "_code_table", np.zeros(2))
+
+    def test_every_tabled_integer_equals_the_scalar(self, fresh_table):
+        z = np.arange(1, CODE_TABLE_CAP + 1, dtype=np.float64)
+        got = universal_code_lengths(z)
+        assert mdl._code_table.size == CODE_TABLE_CAP + 1
+        assert np.array_equal(got, [universal_code_length(v) for v in z.tolist()])
+
+    def test_values_past_the_table_take_the_scalar(self, fresh_table):
+        values = np.array([
+            3.0, CODE_TABLE_CAP, CODE_TABLE_CAP + 1, 10.0 * CODE_TABLE_CAP,
+            1e12, 2.5, 0.0, -4.0,
+        ])
+        got = universal_code_lengths(values.reshape(2, 4))
+        assert got.shape == (2, 4)
+        expected = [universal_code_length(v) for v in values.tolist()]
+        assert np.array_equal(got.ravel(), expected)
+        assert mdl._code_table.size <= CODE_TABLE_CAP + 1
+        with pytest.raises(ValueError, match="NaN"):
+            universal_code_lengths([2.0, float("nan")])
+
+    def test_a_far_value_does_not_grow_the_table(self, fresh_table):
+        universal_code_lengths([7.0, 1e9])
+        assert mdl._code_table.size <= 16  # the table covers the 7 only
+
+    def test_threads_grow_and_agree(self, fresh_table):
+        rng = np.random.default_rng(0)
+        batches = [rng.integers(1, CODE_TABLE_CAP, size=400).astype(float) for _ in range(40)]
+        expected = [
+            np.array([universal_code_length(v) for v in b.tolist()]) for b in batches
+        ]
+        failures: list = []
+
+        def score(order):
+            for k in order:
+                if not np.array_equal(universal_code_lengths(batches[k]), expected[k]):
+                    failures.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=score, args=(order,))
+                for order in (range(40), range(39, -1, -1)) * 2
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
 
 
 class TestCostOfCompression:

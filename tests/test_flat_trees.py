@@ -4,10 +4,11 @@ structural invariants.
 Brute force is the one oracle: ``count_within_many`` / ``count_within``
 over :class:`~repro.index.base.FlatTree` storage must agree bit for bit
 with :class:`~repro.index.bruteforce.BruteForceIndex` for every flat
-family, under both walks (``compiled`` and ``level``, called directly),
-on full and subset indexes, sharded across workers, on vector, string,
-and tree data — including the regression class: radius 0 with duplicate
-points, radii that tie exact pairwise distances, and negative radii.
+family, under both walks called directly (``level`` everywhere, the
+compiled kernel on vector data), on full and subset indexes, sharded
+across workers, on vector, string, and tree data — including the
+regression class: radius 0 with duplicate points, radii that tie exact
+pairwise distances, and negative radii.
 """
 
 import numpy as np
@@ -32,10 +33,12 @@ from repro.metric.trees import LabeledTree, tree_edit_distance
 FLAT_KINDS = [VPTree, BallTree, CoverTree, MTree, SlimTree]
 
 
-def walks():
-    """The walk functions this environment can run: the numpy level walk
-    always, the compiled walk where the kernel builds."""
-    return [level_count_walk] + ([compiled_count_walk] if kernel_available() else [])
+def walks(space):
+    """The walk functions this environment can run on ``space``: the
+    numpy level walk always, the compiled walk on vector data where the
+    kernel builds."""
+    compiled = space.is_vector and kernel_available()
+    return [level_count_walk] + ([compiled_count_walk] if compiled else [])
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +120,7 @@ class TestFlatMatchesBruteForce:
         expected = BruteForceIndex(space).count_within_many(q, radii)
         tree = cls(space)
         assert np.array_equal(tree.count_within_many(q, radii), expected)
-        for walk in walks():
+        for walk in walks(space):
             got = walk(space, q, radii, tree.flat)
             assert np.array_equal(got, expected), walk.__name__
 
@@ -139,7 +142,7 @@ class TestFlatMatchesBruteForce:
         expected = BruteForceIndex(space, ids).count_within_many(queries, radii)
         tree = cls(space, ids)
         assert np.array_equal(tree.count_within_many(queries, radii), expected)
-        for walk in walks():
+        for walk in walks(space):
             got = walk(space, queries, radii, tree.flat)
             assert np.array_equal(got, expected), walk.__name__
 

@@ -131,21 +131,21 @@ class TestLevelMatchesStack:
         walks = [level_count_walk]
         if kernel_available():
             walks.append(compiled_count_walk)
-        collected = []
         for walk in walks:
             stats: dict = {}
             assert np.array_equal(
                 walk(vspace, q, radii, flat, stats=stats), brute(vspace, radii)
             )
-            for key in ("steps", "entries", "distance_calls",
-                        "searchsorted_calls", "scatter_calls"):
+            # Both walks report steps (level steps, or kernel calls),
+            # entries (frontier entries, or node visits) and distance
+            # dispatches under the same keys.
+            for key in ("steps", "entries", "distance_calls"):
                 assert stats[key] > 0
-            collected.append(stats)
-        # The compiled walk mirrors the level walk's frontier step for
-        # step: one step per depth, the same entries on each.
-        for stats in collected[1:]:
-            assert stats["steps"] == collected[0]["steps"]
-            assert stats["entries"] == collected[0]["entries"]
+            if walk is level_count_walk:
+                assert stats["searchsorted_calls"] > 0 and stats["scatter_calls"] > 0
+            else:  # one kernel call per radius, scanned members settled in C
+                assert stats["steps"] == radii.size
+                assert 0 < stats["leaf_entries_filtered"] <= stats["leaf_entries_total"]
 
     def test_walk_kwarg_validated(self, vspace):
         """No tree and no walk entry point takes a walk selector."""

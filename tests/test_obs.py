@@ -31,8 +31,11 @@ from repro import McCatch
 from repro.core.radii import define_radii
 from repro.engine import BatchQueryEngine
 from repro.index import build_index
+from repro.index import ckernel
 from repro.index.base import UNKNOWN_COUNT, count_walk, nearest_walk
+from repro.index.ckernel import kernel_available
 from repro.metric.base import MetricSpace
+from repro.metric.instrumentation import CountingMetricSpace
 from repro.obs import (
     MetricsRegistry,
     RequestTrace,
@@ -356,6 +359,32 @@ class TestProcessSinks:
         known = int(np.count_nonzero(counts[:, :-1] != UNKNOWN_COUNT))
         assert engine.get("count_entries") == known
         assert 0 < engine.get("count_calls") <= radii.size - 1
+
+    @pytest.mark.skipif(not kernel_available(), reason="C kernel unavailable")
+    def test_traced_vector_fit_moves_the_compiled_walk_counters(
+        self, sinks, dataset, monkeypatch
+    ):
+        """A vector fit counts through the compiled walk: its kernel
+        calls, node visits, scanned and settled members reach the walk
+        sink, and its distance evaluations reach the counting proxy."""
+        walk, _ = sinks
+        calls = []
+        real = ckernel.compiled_count_walk
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ckernel, "compiled_count_walk", spy)
+        space = CountingMetricSpace(MetricSpace(dataset))
+        McCatch(index="vptree").fit(space)
+        assert calls and walk.get("walks") >= len(calls)
+        for key in ("steps", "entries", "distance_calls", "leaf_entries_total",
+                    "leaf_entries_filtered"):
+            assert walk.get(key) > 0, key
+        assert walk.get("leaf_entries_filtered") <= walk.get("leaf_entries_total")
+        # Every node visit and scanned member is one kernel evaluation.
+        assert space.counter.total >= walk.get("entries") + walk.get("leaf_entries_total")
 
     def test_bound_registry_reads_the_sinks(self, sinks, walk_setup):
         walk, _ = sinks

@@ -5,10 +5,12 @@ recursion (one radius at a time, dropping a point once its count
 exceeds ``c``) for every flat kind, every engine plan and worker count,
 on both rung widths:
 
-- one rung per walk where the float32 rect kernel applies (3-d
-  Euclidean), and
-- blocks of ``RADIUS_BLOCK_SIZE`` rungs elsewhere (70-d Euclidean,
-  cityblock, Levenshtein, tree edit distance, brute force).
+- one rung per walk on every vector input when the C kernel runs, and
+  without it where the numpy walk's float32 rect kernel applies (3-d
+  Euclidean);
+- blocks of ``RADIUS_BLOCK_SIZE`` rungs elsewhere (Levenshtein, tree
+  edit distance, brute force; 70-d Euclidean and cityblock without the
+  kernel).
 
 The ladders include radius 0 with duplicates and radii that tie exact
 pairwise distances.  Spies pin the width rule itself, one pool task per
@@ -27,6 +29,7 @@ from repro.engine.executor import RADIUS_BLOCK_SIZE
 from repro.index import BallTree, BruteForceIndex, CoverTree, MTree, SlimTree, VPTree
 from repro.index import base as index_base
 from repro.index.base import UNKNOWN_COUNT
+from repro.index.ckernel import ENV_DISABLE, kernel_available
 from repro.metric.base import MetricSpace
 from repro.metric.strings import levenshtein
 from repro.metric.trees import LabeledTree, tree_edit_distance
@@ -190,8 +193,21 @@ class TestRungWidthRule:
         engine.self_join_counts(ladder(l2_3d), max_cardinality=20)
         assert widths and set(widths) == {1}
 
+    @pytest.mark.skipif(not kernel_available(), reason="C kernel unavailable")
+    @pytest.mark.parametrize("fixture", ["l2_70d", "cityblock"])
+    def test_kernel_walks_every_vector_input_one_rung(self, fixture, request, monkeypatch):
+        space = request.getfixturevalue(fixture)
+        widths = _spy_walk_widths(monkeypatch)
+        engine = BatchQueryEngine(VPTree(space))
+        assert engine.rungs_per_walk() == 1
+        engine.self_join_counts(ladder(space), max_cardinality=len(space) // 2)
+        assert widths and set(widths) == {1}
+
     @pytest.mark.parametrize("fixture", ["l2_70d", "cityblock", "strings"])
     def test_other_inputs_walk_blocks(self, fixture, request, monkeypatch):
+        """Object metrics, and vector inputs the numpy walk's rect kernel
+        does not cover when the C kernel is off."""
+        monkeypatch.setenv(ENV_DISABLE, "1")
         space = request.getfixturevalue(fixture)
         widths = _spy_walk_widths(monkeypatch)
         engine = BatchQueryEngine(VPTree(space))
