@@ -8,12 +8,12 @@ dimensions; the log-log slope matches 2 - 1/u where u is the intrinsic
 Index note: Lemma 1 assumes the *count-only principle* — the tree
 counts whole subtrees inside a query ball in O(1).  The flat metric
 trees implement that shortcut: their walk credits a node the query ball
-swallows with its stored ``size``.  scipy's cKDTree (the default
-wall-clock fast path) enumerates neighbors on its count queries, which
-is quadratic when counts are Θ(n) as on the Diagonal.  The low-fractal-
+swallows with its stored ``size``.  scipy's cKDTree (an explicit
+index kind) enumerates neighbors on its count queries, which is
+quadratic when counts are Θ(n) as on the Diagonal.  The low-fractal-
 dimension cases therefore run on the count-only VP-tree, while the
-high-dimensional Uniform cases (whose expected slope is ~2 − 1/50 ≈
-1.98 anyway) use the default index.
+Uniform cases (whose expected slope is ~2 − 1/50 ≈ 1.98 at 50-d
+anyway) keep cKDTree.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def _parallel_sweep_records() -> dict:
 
     The same Fig. 7 size ladder, fitted once with the serial batched
     engine and once with ``engine_mode="parallel"`` over a flat-backed
-    VP-tree (the auto cKDTree has no arrays to share), recorded into
+    VP-tree (cKDTree has no arrays to share), recorded into
     ``BENCH_parallel.json`` next to the machine block so the
     serial-vs-sharded curve rides with the scalability artifact.
     """

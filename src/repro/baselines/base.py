@@ -74,9 +74,9 @@ def knn_distances(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Distances and indices of each row's ``k`` nearest neighbors (self excluded).
 
     Runs through the batch query engine
-    (:func:`repro.engine.knn_distances`) over the ``"auto"`` index —
-    scipy's compiled kd-tree for Euclidean vector data, chunked bulk
-    distance blocks otherwise.
+    (:func:`repro.engine.knn_distances`) over scipy's compiled kd-tree,
+    asked for by name: the ``"auto"`` VP-tree has no kNN walk, so it
+    would take the O(n²) scan of distance blocks.
     """
     from repro.engine import knn_distances as engine_knn
     from repro.index.factory import build_index
@@ -85,5 +85,5 @@ def knn_distances(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     n = X.shape[0]
     if k >= n:
         raise ValueError(f"k={k} must be < n={n}")
-    index = build_index(MetricSpace(X), kind="auto")
+    index = build_index(MetricSpace(X), kind="ckdtree")
     return engine_knn(index, k)

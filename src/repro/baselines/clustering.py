@@ -12,12 +12,12 @@
 All three "fail to group [microcluster] points into an entity with a
 score" (Sec. II-B): they label points, which is exactly the behaviour
 reproduced here — scores are per point, clusters carry no score.
+scipy is imported inside the scorers, keeping it off ``repro serve``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.baselines.base import BaseDetector
 from repro.utils.rng import check_random_state
@@ -51,6 +51,8 @@ class DBSCAN(BaseDetector):
         return self.labels_
 
     def _score(self, X: np.ndarray) -> np.ndarray:
+        from scipy.spatial import cKDTree
+
         n = X.shape[0]
         tree = cKDTree(X)
         if self.eps is None:
@@ -117,6 +119,8 @@ class OPTICS(BaseDetector):
         self.ordering_: np.ndarray | None = None
 
     def _score(self, X: np.ndarray) -> np.ndarray:
+        from scipy.spatial import cKDTree
+
         n = X.shape[0]
         k = min(self.min_pts, n - 1)
         tree = cKDTree(X)

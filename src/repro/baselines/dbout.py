@@ -9,7 +9,7 @@ continuous relaxation of the binary definition.  Table II tunes
 
 The whole-dataset range sweep runs through the batch query engine
 (:meth:`repro.engine.BatchQueryEngine.count_all_within`) over the
-``"auto"`` index — one compiled kd-tree pass for Euclidean vectors.
+``"auto"`` index: one compiled count walk over a VP-tree.
 """
 
 from __future__ import annotations

@@ -53,7 +53,6 @@ import numpy as np
 
 from repro import McCatch, StreamingMcCatch, __version__
 from repro.datasets import BENCHMARK_SPECS, dataset_names, load
-from repro.eval import auroc
 from repro.metric.strings import levenshtein
 
 
@@ -79,8 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="index kind backing the joins (default auto)")
     detect.add_argument("--workers", type=int, default=None, metavar="N",
                         help="shard the range-count walks across N workers "
-                             "(engine_mode=parallel; needs a flat-backed "
-                             "index, so --index auto is promoted to vptree)")
+                             "(engine_mode=parallel; needs a flat-backed index)")
     detect.add_argument("--top", type=int, default=20, help="rows of ranking to print")
     detect.add_argument("--save-json", metavar="PATH",
                         help="archive the full result as JSON")
@@ -274,17 +272,11 @@ def _fit(data, metric, detector: McCatch):
 
 def _cmd_detect(args) -> int:
     data, metric = _load_input(args.path, args.metric, args.delimiter)
-    index = args.index
-    if args.workers is not None and index == "auto":
-        # "auto" on Euclidean vectors picks the compiled cKDTree, which
-        # has no flat arrays to share across a pool — the one index
-        # choice --workers can never use.
-        index = "vptree"
     detector = McCatch(
         n_radii=args.n_radii,
         max_slope=args.max_slope,
         max_cardinality_fraction=args.max_cardinality_fraction,
-        index=index,
+        index=args.index,
         engine_mode="parallel" if args.workers is not None else "batched",
         workers=args.workers,
     )
@@ -814,6 +806,8 @@ def _cmd_datasets(_args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    from repro.eval import auroc  # loads scipy.stats: keep it off the import path
+
     ds = load(args.name, scale=args.scale, random_state=args.seed)
     t0 = time.perf_counter()
     result = McCatch().fit(ds.data, ds.metric)

@@ -58,8 +58,9 @@ class McCatch:
     max_cardinality:
         Absolute ``c`` overriding the fraction (optional).
     index:
-        Index kind for the joins: ``"auto"`` (default), or any of
-        :func:`repro.index.available_index_kinds`.
+        Index kind for the joins: ``"auto"`` (default; a VP-tree for
+        every space, so the default verdict is ``index="vptree"``'s), or
+        any of :func:`repro.index.available_index_kinds`.
     engine_mode:
         Execution plan for the neighborhood workloads:
         ``"batched"`` (default; the sparse-focused schedule of
@@ -68,9 +69,9 @@ class McCatch:
         plan: one rung per walk), or ``"parallel"`` (the schedule
         sharded across a persistent worker pool, one task per shard —
         see :class:`repro.engine.ShardedWalkExecutor`; requires a
-        flat-backed ``index`` such as ``"vptree"`` to actually fan
-        out).  Results are bit-for-bit identical across all modes;
-        only wall-clock differs.
+        flat-backed ``index``, such as the default, to fan out).
+        Results are bit-for-bit identical across all modes; only
+        wall-clock differs.
     workers:
         Worker-pool size for ``engine_mode="parallel"`` (default: the
         usable core count).  Setting it with a serial engine mode is
@@ -195,9 +196,7 @@ class McCatch:
                     "engine_mode='parallel' needs a flat-backed index to "
                     f"shard across workers, but index={self.index!r} built "
                     f"a {type(tree).__name__}; pick one of vptree / "
-                    "balltree / covertree / mtree / slimtree (the "
-                    "Euclidean 'auto' default selects scipy's cKDTree, "
-                    "which has no shareable arrays)"
+                    "balltree / covertree / mtree / slimtree, or 'auto'"
                 )
         if tree.diameter_estimate() <= 0.0:
             # Single element, or every element coincides: no radius

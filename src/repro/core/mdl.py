@@ -24,11 +24,14 @@ def universal_code_length(z: int | float) -> float:
 
     Sums ``log2(z) + log2(log2(z)) + ...`` while the terms stay
     positive.  ``z`` below 1 is clamped to 1 (⟨1⟩ = 0), matching the
-    paper's "+1 to account for zeros" convention at call sites.
+    paper's "+1 to account for zeros" convention at call sites.  NaN
+    and ±inf raise ``ValueError`` (``log2(inf)`` never reaches 0).
     """
     z = float(z)
     if math.isnan(z):
         raise ValueError("universal_code_length requires a number, got NaN")
+    if math.isinf(z):
+        raise ValueError(f"universal_code_length requires a finite number, got {z}")
     if z < 1.0:
         z = 1.0
     total = 0.0
@@ -77,12 +80,13 @@ def universal_code_lengths(values: Sequence[float] | np.ndarray) -> np.ndarray:
     Integers up to :data:`CODE_TABLE_CAP` are looked up in a
     process-wide table of :func:`universal_code_length` values, so they
     are bit-identical to the scalar function; any other value (larger,
-    fractional, NaN) runs :func:`universal_code_length` once per
-    distinct value.
+    fractional, NaN, ±inf) runs :func:`universal_code_length` once per
+    distinct value, so NaN and ±inf raise ``ValueError`` as there.
     """
     arr = np.asarray(values, dtype=np.float64)
-    z = np.maximum(arr.ravel(), 1.0)
-    tabled = (z <= CODE_TABLE_CAP) & (z == np.floor(z))
+    flat = arr.ravel()
+    z = np.maximum(flat, 1.0)  # -inf stays out of the table: the scalar rejects it
+    tabled = (z <= CODE_TABLE_CAP) & (z == np.floor(z)) & (flat > -np.inf)
     if tabled.all():
         idx = z.astype(np.intp)
         top = int(idx.max()) if idx.size else 0
@@ -92,7 +96,7 @@ def universal_code_lengths(values: Sequence[float] | np.ndarray) -> np.ndarray:
         idx = z[tabled].astype(np.intp)
         out[tabled] = _code_table_upto(int(idx.max())).take(idx)
     rest = ~tabled
-    uniq, inverse = np.unique(z[rest], return_inverse=True)
+    uniq, inverse = np.unique(flat[rest], return_inverse=True)
     table = np.array([universal_code_length(v) for v in uniq.tolist()], dtype=np.float64)
     out[rest] = table[inverse]
     return out.reshape(arr.shape)

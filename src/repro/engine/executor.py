@@ -16,7 +16,7 @@ measurements in the :data:`RADIUS_BLOCK_SIZE` comment):
   one radius per call); without the kernel, where the numpy walk's
   float32 rect leaf kernel settles single-rung leaves (a space whose
   ``float32_coords()`` is not ``None``: Euclidean vectors of at most 64
-  dims); for an index without a multi-radius walk (scipy's cKDTree);
+  dims); for an index without a multi-radius walk (``"ckdtree"``);
   and in ``mode="per_point"``;
 - blocks of :data:`RADIUS_BLOCK_SIZE` rungs everywhere else.  Brute
   force shares one distance block across the radii of a call; object
@@ -39,7 +39,7 @@ Three modes, selected at construction:
   process workers attach to an mmap artifact).  Rows are independent,
   so the stacked counts are bit-identical to ``"batched"`` for any
   worker or shard count.  Requires a flat-backed index; anything else
-  (scipy's cKDTree, brute force) falls back to the serial plan.
+  (an explicit cKDTree, brute force) falls back to the serial plan.
 """
 
 from __future__ import annotations
@@ -200,8 +200,8 @@ class BatchQueryEngine:
         # An index that only inherits the generic count_within_many (one
         # count_within pass per radius) gains nothing from multi-rung
         # walks and would lose the per-rung sparse-focused drops, so it
-        # is scheduled one rung at a time.  scipy's CKDTreeIndex (the
-        # Euclidean "auto" default) is the prominent case.
+        # is scheduled one rung at a time: scipy's CKDTreeIndex, when
+        # asked for by name.
         self._walks_batched = (
             type(index).count_within_many is not MetricIndex.count_within_many
         )

@@ -5,8 +5,8 @@ baselines and as test references:
 
 - :func:`knn_distances` — each indexed point's k nearest neighbors
   (self excluded), served by scipy's compiled kd-tree when the index
-  is the Euclidean fast path and by chunked pairwise-distance blocks
-  otherwise;
+  is an explicit ``"ckdtree"`` (as the baselines ask for) and by
+  chunked pairwise-distance blocks otherwise;
 - :func:`nearest_distances_to` — nearest-indexed-element distance for
   out-of-dataset query objects by scanning every candidate in blocked
   bulk distances: the brute-force oracle that tests hold the model's

@@ -7,11 +7,12 @@ workloads onto — the metric trees with a single level-synchronous
 walk, the rest with stacked per-radius passes.  Available indexes
 (:func:`~repro.index.factory.available_index_kinds`):
 
-- :class:`~repro.index.vptree.VPTree` — default for nondimensional data;
+- :class:`~repro.index.vptree.VPTree` — the ``"auto"`` default for every
+  space, vectors and objects alike;
 - :class:`~repro.index.mtree.MTree` / :class:`~repro.index.slimtree.SlimTree`
   — the metric access methods the paper names [35], [36];
-- :class:`~repro.index.ckdtree.CKDTreeIndex` — scipy's compiled kd-tree,
-  default for Euclidean vectors in main memory;
+- :class:`~repro.index.ckdtree.CKDTreeIndex` — scipy's compiled kd-tree
+  for Euclidean vectors, by name only (the baselines' kNN uses it);
 - :class:`~repro.index.covertree.CoverTree` /
   :class:`~repro.index.balltree.BallTree` — alternative metric trees for
   the index ablation;

@@ -1,10 +1,11 @@
-"""scipy cKDTree adapter: the fast path for Euclidean vector data.
+"""scipy cKDTree adapter for Euclidean vector data (``index="ckdtree"``).
 
 McCatch's contract is "any off-the-shelf spatial join algorithm that
-can leverage a tree" (Sec. IV-C).  For vector data under the Euclidean
-metric, scipy's compiled cKDTree is that off-the-shelf component; this
-adapter exposes it through the same :class:`MetricIndex` protocol as
-the pure-Python trees so the core never knows the difference.
+can leverage a tree" (Sec. IV-C); this adapter exposes scipy's compiled
+kd-tree through the :class:`MetricIndex` protocol.  It is an explicit
+kind only (the baselines' kNN asks for it): its range counts visit
+every neighbour, and its bounding-box diameter is not rotation
+invariant.  scipy is imported on build, keeping it off ``import repro``.
 """
 
 from __future__ import annotations
@@ -12,27 +13,23 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.index.base import MetricIndex
 from repro.metric.base import MetricSpace
-
-
-def is_euclidean_vectors(space: MetricSpace) -> bool:
-    """Whether ``space`` holds vectors under the L2 metric, the only
-    spaces scipy's (Euclidean) cKDTree answers exactly."""
-    return space.is_vector and getattr(space.metric, "p", None) == 2.0
 
 
 class CKDTreeIndex(MetricIndex):
     """Range counting backed by :class:`scipy.spatial.cKDTree`."""
 
     def __init__(self, space: MetricSpace, ids=None):
-        if not is_euclidean_vectors(space):
+        # the only spaces scipy's (Euclidean) kd-tree answers exactly
+        if not (space.is_vector and getattr(space.metric, "p", None) == 2.0):
             raise TypeError(
                 "CKDTreeIndex requires vector data under the Euclidean metric; "
                 "use 'vptree' or 'brute' for other metrics"
             )
+        from scipy.spatial import cKDTree
+
         super().__init__(space, ids)
         self._points = space.data[self.ids]
         self._tree = cKDTree(self._points)

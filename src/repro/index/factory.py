@@ -1,8 +1,10 @@
-"""Index selection: pick the right tree for the data at hand.
+"""Index selection: pick the tree for the joins.
 
-Mirrors the paper's footnote 4: metric trees for non-vector data and a
-kd-tree (scipy's compiled cKDTree) for main-memory Euclidean vectors.
-``"auto"`` chooses the fastest correct option.
+The paper's footnote 4 pairs a kd-tree with Euclidean vectors; here
+``"auto"`` is the VP-tree for every space.  Its compiled count walk beat
+scipy's cKDTree on every vector input measured, and its diameter rule
+uses distances alone, so the radius ladder (Alg. 1 line 2) is rotation
+invariant.  The kd-tree stays available by name.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Callable
 from repro.index.balltree import BallTree
 from repro.index.base import MetricIndex
 from repro.index.bruteforce import BruteForceIndex
-from repro.index.ckdtree import CKDTreeIndex, is_euclidean_vectors
+from repro.index.ckdtree import CKDTreeIndex
 from repro.index.covertree import CoverTree
 from repro.index.mtree import MTree
 from repro.index.slimtree import SlimTree
@@ -38,15 +40,13 @@ def available_index_kinds() -> list[str]:
 def build_index(space: MetricSpace, ids=None, *, kind: str = "auto", **kwargs) -> MetricIndex:
     """Build an index over ``space`` (optionally restricted to ``ids``).
 
-    ``kind="auto"`` selects scipy's cKDTree for Euclidean vector data
-    and a VP-tree otherwise; any name from :func:`available_index_kinds`
-    selects that index explicitly.  Extra keyword arguments are
-    forwarded to the index constructor.
+    ``kind="auto"`` selects a VP-tree for every space, so a default fit
+    equals an ``index="vptree"`` fit bit for bit; any name from
+    :func:`available_index_kinds` selects that index explicitly.  Extra
+    keyword arguments are forwarded to the index constructor.
     """
-    if kind == "auto":
-        kind = "ckdtree" if is_euclidean_vectors(space) else "vptree"
     try:
-        builder = _BUILDERS[kind]
+        builder = _BUILDERS["vptree" if kind == "auto" else kind]
     except KeyError:
         raise ValueError(
             f"unknown index kind {kind!r}; choose from {available_index_kinds()} or 'auto'"

@@ -91,6 +91,23 @@ class TestKNNFamily:
         with pytest.raises(ValueError):
             ODIN(k=-1)
 
+    def test_knn_runs_on_the_kdtree(self, scattered, monkeypatch):
+        """The kNN asks for the kd-tree by name: the ``auto`` VP-tree has
+        no kNN walk and would scan O(n²) distance blocks."""
+        from repro.index.ckdtree import CKDTreeIndex
+
+        calls = []
+        knn_all = CKDTreeIndex.knn_all
+
+        def spy(index, k):
+            calls.append(k)
+            return knn_all(index, k)
+
+        monkeypatch.setattr(CKDTreeIndex, "knn_all", spy)
+        X, _ = scattered
+        assert KNNOut(k=4).fit_scores(X).shape == (X.shape[0],)
+        assert calls == [4]
+
 
 class TestLOF:
     def test_uniform_cloud_scores_near_one(self):

@@ -1,9 +1,38 @@
 """Tests for the command-line interface."""
 
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
 from repro.cli import main
+
+
+def test_cli_and_serve_import_paths_load_no_scipy():
+    """scipy costs about 0.3 s and 35 MB of a cold start; only the index
+    kind and the baselines that use it import it, when they run."""
+    script = textwrap.dedent("""
+        import sys
+        import repro, repro.cli, repro.serve, repro.serve.server
+        from repro.api import load_model
+        loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        assert not loaded, loaded
+        import numpy as np
+        from repro import McCatch
+        from repro.baselines import DBSCAN
+        X = np.random.default_rng(0).normal(size=(300, 2))
+        assert McCatch(index="ckdtree").fit(X).n == 300
+        assert DBSCAN().fit_scores(X).shape == (300,)
+        assert "scipy.spatial" in sys.modules
+        print("ok")
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
 
 
 @pytest.fixture()

@@ -5,7 +5,7 @@ import pytest
 
 from repro import McCatch, MetricSpace, detect_microclusters
 from repro.datasets.benchmarks import make_http_like
-from repro.index import available_index_kinds
+from repro.index import available_index_kinds, ckernel
 from repro.metric.strings import levenshtein
 
 
@@ -105,6 +105,27 @@ class TestFitOnVectors:
         got = McCatch(index=kind).fit(X)
         planted = set(np.nonzero(labels > 0)[0])
         assert planted <= set(map(int, got.outlier_indices))
+
+    @pytest.mark.parametrize("no_kernel", [False, True], ids=["kernel", "numpy_walk"])
+    @pytest.mark.parametrize("data", ["http", "20d"])
+    def test_default_fit_is_the_vptree_fit(self, data, no_kernel, monkeypatch):
+        """``index="auto"`` builds the VP-tree whether or not the C kernel
+        runs, so the default verdict is the same on every machine."""
+        if no_kernel:
+            monkeypatch.setenv(ckernel.ENV_DISABLE, "1")
+        if data == "http":
+            X, _ = make_http_like(2000, random_state=0)
+        else:
+            rng = np.random.default_rng(4)
+            X = np.vstack([rng.normal(0, 1, (600, 20)), rng.normal(6, 0.05, (8, 20))])
+        default = McCatch().fit(X)
+        vptree = McCatch(index="vptree").fit(X)
+        assert default.microclusters, "planted structure should be detected"
+        assert np.array_equal(default.point_scores, vptree.point_scores)
+        assert np.array_equal(default.oracle.counts, vptree.oracle.counts)
+        assert [(m.indices.tolist(), m.score) for m in default.microclusters] == [
+            (m.indices.tolist(), m.score) for m in vptree.microclusters
+        ]
 
     def test_ckdtree_refuses_non_euclidean_metric(self):
         # scipy's cKDTree measures L2 only: answering this cityblock fit

@@ -39,6 +39,14 @@ class TestUniversalCodeLength:
         with pytest.raises(ValueError):
             universal_code_length(float("nan"))
 
+    @pytest.mark.parametrize("z", [math.inf, -math.inf])
+    def test_infinity_rejected(self, z):
+        # log2(inf) is inf, so the term loop would never end
+        with pytest.raises(ValueError, match="finite"):
+            universal_code_length(z)
+        with pytest.raises(ValueError, match="finite"):
+            universal_code_lengths(np.array([[2.0, 7.0], [z, 3.0]]))
+
     @given(z=st.integers(1, 10**9))
     @settings(max_examples=100)
     def test_nonnegative_and_superlogarithmic(self, z):

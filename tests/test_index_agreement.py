@@ -18,6 +18,7 @@ from repro.index import (
     VPTree,
     available_index_kinds,
     build_index,
+    ckernel,
 )
 from repro.metric.base import MetricSpace
 from repro.metric.strings import levenshtein
@@ -137,8 +138,13 @@ class TestPropertyBasedAgreement:
 
 
 class TestFactory:
-    def test_auto_vector_uses_ckdtree(self, vspace):
-        assert isinstance(build_index(vspace), CKDTreeIndex)
+    def test_auto_vector_uses_vptree(self, vspace, monkeypatch):
+        """``auto`` is the VP-tree for vectors with or without the C
+        kernel, so the default verdict does not depend on the machine."""
+        assert isinstance(build_index(vspace), VPTree)
+        monkeypatch.setenv(ckernel.ENV_DISABLE, "1")
+        assert not ckernel.kernel_available()
+        assert isinstance(build_index(vspace), VPTree)
 
     def test_auto_metric_uses_vptree(self, sspace):
         assert isinstance(build_index(sspace), VPTree)

@@ -13,6 +13,11 @@ from hypothesis import strategies as st
 from repro import McCatch
 
 
+#: The default detector and the VP-tree it builds must both hold the
+#: distance-only invariances below.
+DETECTORS = (McCatch, lambda: McCatch(index="vptree"))
+
+
 def _planted(seed: int, n: int = 200):
     rng = np.random.default_rng(seed)
     inliers = rng.normal(0.0, 1.0, (n, 2))
@@ -32,7 +37,7 @@ class TestRigidMotionInvariance:
     @given(seed=st.integers(0, 50), shift=st.floats(-1e3, 1e3))
     @settings(max_examples=15, deadline=None)
     def test_translation_invariance(self, seed, shift):
-        # Translation changes coordinates but not distances.  The bbox
+        # Translation changes coordinates but not distances.  The
         # diameter estimate can move by a float ulp, which may flip
         # points whose 1NN distance sits exactly on a radius rung —
         # so assert the planted structure and near-total score equality
@@ -49,21 +54,23 @@ class TestRigidMotionInvariance:
     @given(seed=st.integers(0, 50), R=rotations())
     @settings(max_examples=15, deadline=None)
     def test_rotation_preserves_detections(self, seed, R):
-        # Rotation preserves Euclidean distances exactly, but the kd-tree
-        # diameter estimate (bounding box) is not rotation-invariant; use
-        # the metric VP-tree whose estimate depends on distances only.
+        # Rotation preserves Euclidean distances exactly; the VP-tree's
+        # diameter estimate depends on distances only (the kd-tree's
+        # bounding box would not be rotation-invariant).
         X = _planted(seed)
-        a = McCatch(index="vptree").fit(X)
-        b = McCatch(index="vptree").fit(X @ R.T)
-        assert np.array_equal(a.outlier_indices, b.outlier_indices)
+        for detector in DETECTORS:
+            a = detector().fit(X)
+            b = detector().fit(X @ R.T)
+            assert np.array_equal(a.outlier_indices, b.outlier_indices)
 
     @given(seed=st.integers(0, 50), factor=st.floats(0.01, 100.0))
     @settings(max_examples=15, deadline=None)
     def test_scale_invariance_of_detections(self, seed, factor):
         X = _planted(seed)
-        a = McCatch(index="vptree").fit(X)
-        b = McCatch(index="vptree").fit(X * factor)
-        assert np.array_equal(a.outlier_indices, b.outlier_indices)
+        for detector in DETECTORS:
+            a = detector().fit(X)
+            b = detector().fit(X * factor)
+            assert np.array_equal(a.outlier_indices, b.outlier_indices)
 
 
 class TestPermutationEquivariance:
@@ -73,11 +80,12 @@ class TestPermutationEquivariance:
         X = _planted(seed)
         rng = np.random.default_rng(seed + 1)
         perm = rng.permutation(X.shape[0])
-        a = McCatch(index="vptree").fit(X)
-        b = McCatch(index="vptree").fit(X[perm])
-        # Map b's detections back through the permutation.
-        mapped = set(int(perm[i]) for i in b.outlier_indices)
-        assert mapped == set(map(int, a.outlier_indices))
+        for detector in DETECTORS:
+            a = detector().fit(X)
+            b = detector().fit(X[perm])
+            # Map b's detections back through the permutation.
+            mapped = set(int(perm[i]) for i in b.outlier_indices)
+            assert mapped == set(map(int, a.outlier_indices))
 
 
 class TestOutputContracts:

@@ -323,7 +323,7 @@ class TestProcessSinks:
         assert engine.get("count_queries") >= len(dataset)
 
     @pytest.mark.parametrize("kwargs", [
-        {},  # Euclidean "auto": scipy's cKDTree, one count call per rung
+        {"index": "ckdtree"},  # scipy's kd-tree: one count call per rung
         {"index": "vptree"},  # flat tree over 3-d Euclidean: one rung per walk
         {"index": "vptree", "engine_mode": "per_point"},
         {"index": "vptree", "engine_mode": "parallel", "workers": 2},

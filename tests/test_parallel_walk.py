@@ -278,13 +278,31 @@ class TestMcCatchParallel:
         with pytest.raises(ValueError, match="workers"):
             McCatch(workers=4)
 
-    def test_parallel_requires_flat_index(self, blob_with_mc):
-        """A pool with nothing to share must fail loudly, not run serial
-        (the Euclidean 'auto' default builds scipy's cKDTree)."""
+    def test_parallel_requires_flat_index(self, blob_with_mc, monkeypatch):
+        """A pool with nothing to share must fail loudly, not run serial;
+        the default index is a VP-tree, so it shards and equals the serial
+        fit."""
         X, _ = blob_with_mc
-        for kind in ("auto", "ckdtree", "brute"):
+        for kind in ("ckdtree", "brute"):
             with pytest.raises(ValueError, match="flat-backed"):
                 McCatch(index=kind, engine_mode="parallel").fit(X)
+        sharded_calls = []
+        schedule = ShardedWalkExecutor.schedule_counts
+
+        def spy(executor, *args, **kwargs):
+            sharded_calls.append(executor.workers)
+            return schedule(executor, *args, **kwargs)
+
+        monkeypatch.setattr(ShardedWalkExecutor, "schedule_counts", spy)
+        serial = McCatch().fit(X)
+        assert not sharded_calls
+        parallel_fit = McCatch(engine_mode="parallel", workers=2).fit(X)
+        assert sharded_calls and set(sharded_calls) == {2}
+        assert np.array_equal(serial.point_scores, parallel_fit.point_scores)
+        assert np.array_equal(serial.oracle.counts, parallel_fit.oracle.counts)
+        assert [m.indices.tolist() for m in serial.microclusters] == [
+            m.indices.tolist() for m in parallel_fit.microclusters
+        ]
 
     def test_spec_surfaces_parallel_engine(self):
         estimator = make_estimator("mccatch?engine=parallel&workers=2")
