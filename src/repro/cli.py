@@ -29,11 +29,10 @@ Commands
 ``serve``
     Long-lived HTTP scoring tier (``POST /score``, ``GET /healthz``,
     ``GET /metrics``, ``GET /model``) over a registry-resolved or
-    saved model, with adaptive micro-batching, optional mmap-attached
-    worker processes (``--workers N``), hot model swap when a new
-    version is published (``--poll``), Prometheus metrics
-    (``--no-metrics`` disables), and JSON access logs with per-request
-    trace spans (``--log-level info``).
+    saved model, with adaptive micro-batching (each batch scored on a
+    thread), hot model swap when a new version is published
+    (``--poll``), Prometheus metrics (``--no-metrics`` disables), and
+    JSON access logs with per-request trace spans (``--log-level info``).
 ``stats``
     Scrape ``/healthz`` and ``/metrics`` of a running scoring server
     and print a telemetry summary (``--raw`` dumps the exposition).
@@ -193,9 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8787,
                        help="bind port (default 8787; 0 picks a free port)")
-    serve.add_argument("--workers", type=int, default=0, metavar="N",
-                       help="score on N worker processes mmap-attached to the "
-                            "model artifact (default 0: score in-process)")
     serve.add_argument("--window-ms", type=float, default=2.0,
                        help="micro-batch window: max milliseconds a request "
                             "waits to coalesce with concurrent ones "
@@ -654,7 +650,7 @@ def _resolve_served_model(args):
             model = load_model(args.model, mmap=mmap)
         except (ValueError, OSError, zipfile.BadZipFile) as exc:
             raise SystemExit(f"error: {exc}") from exc
-        return model, {"artifact": args.model, "spec": model.spec}, None
+        return model, {"spec": model.spec}, None
     if not args.registry:
         raise SystemExit("error: --spec needs --registry DIR to resolve from")
     registry = ModelRegistry(args.registry)
@@ -667,7 +663,6 @@ def _resolve_served_model(args):
         raise SystemExit(f"error: {exc}") from exc
     model = load_model(record.path, mmap=mmap)
     kwargs = {
-        "artifact": record.path,
         "spec": record.spec,
         "version": record.version,
         "fingerprint": record.fingerprint,
@@ -685,6 +680,11 @@ def _cmd_serve(args) -> int:
 
     from repro.serve import RegistryWatcher, ScoringServer
 
+    # 0 is documented for both (no cap / no watching); a negative value
+    # would silently mean the same, so it is refused before any loading
+    for flag, value in (("--max-pending", args.max_pending), ("--poll", args.poll)):
+        if value < 0:
+            raise SystemExit(f"error: {flag} must be >= 0, got {value:g}")
     model, server_kwargs, watch = _resolve_served_model(args)
     if args.log_level is not None:
         from repro.obs import configure_logging
@@ -703,7 +703,6 @@ def _cmd_serve(args) -> int:
             max_rows=args.max_rows,
             max_pending=args.max_pending if args.max_pending > 0 else None,
             backlog=args.backlog,
-            workers=args.workers,
             metrics=not args.no_metrics,
             **server_kwargs,
         )
@@ -725,8 +724,7 @@ def _cmd_serve(args) -> int:
         print(f"serving {described['spec']}  n={described['n_fitted']}  "
               f"version={described['version']}")
         print(f"listening on http://{args.host}:{server.port}  "
-              f"(window={args.window_ms:g}ms, max_batch={args.max_batch}, "
-              f"workers={args.workers}"
+              f"(window={args.window_ms:g}ms, max_batch={args.max_batch}"
               + (f", polling registry every {args.poll:g}s" if watcher else "")
               + ")")
         endpoints = "endpoints: POST /score  GET /healthz  GET /model"

@@ -374,9 +374,8 @@ class MetricsRegistry:
 
         ``fn`` returns a number (unlabelled) or a mapping from
         label-value tuples to numbers (labelled).  This is how existing
-        counters — the micro-batcher's tallies, a worker pool's
-        per-pid totals, a :class:`DistanceCounter` — surface in
-        ``/metrics`` without moving their bookkeeping.
+        counters — the micro-batcher's tallies, a :class:`DistanceCounter`
+        — surface in ``/metrics`` without moving their bookkeeping.
         """
         if kind not in ("counter", "gauge"):
             raise ValueError(f"callback metrics must be counter or gauge, got {kind!r}")

@@ -2,19 +2,17 @@
 
 The serving half of the fit-once-serve-many story: a long-lived
 stdlib-only HTTP server over any published
-:class:`~repro.api.base.FittedModel`, built from four pieces that
+:class:`~repro.api.base.FittedModel`, built from three pieces that
 compose but also stand alone:
 
 - :class:`~repro.serve.batching.MicroBatcher` — adaptive
   micro-batching: concurrent single-row requests coalesce into one
   engine batch under a max-latency window, scores fanned back out
   bit-identical to direct ``score_batch``.
-- :class:`~repro.serve.workers.ScoringWorkerPool` — N worker processes
-  that mmap-attach to the published ``.npz`` artifact, sharing one
-  page-cache copy of the index.
 - :class:`~repro.serve.server.ScoringServer` — ``POST /score`` /
   ``GET /healthz`` / ``GET /metrics`` / ``GET /model`` with structured
-  4xx errors at the serving boundary.
+  4xx errors at the serving boundary.  Each engine batch is scored on
+  an executor thread, where the compiled nearest walk releases the GIL.
 - :class:`~repro.serve.watcher.RegistryWatcher` — polls
   ``ModelRegistry.latest_version`` and hot-swaps the served model
   between engine batches, draining requests in flight.
@@ -27,7 +25,7 @@ and ``ScoringServer(metrics=False)`` turns the whole telemetry tier
 off.
 
 Surfaced on the command line as ``repro serve --spec ... --registry
-... --workers N --port P`` (``--log-level info`` for access logs,
+... --port P`` (``--log-level info`` for access logs,
 ``--no-metrics`` to disable telemetry) and ``repro stats --url ...``
 to scrape a running server; driven programmatically (and by the load
 bench) through :class:`~repro.serve.client.ScoreClient`.
@@ -37,7 +35,6 @@ from repro.serve.batching import BatcherClosed, BatcherOverloaded, MicroBatcher
 from repro.serve.client import ScoreClient
 from repro.serve.server import HttpError, ScoringServer, ServedModel
 from repro.serve.watcher import RegistryWatcher
-from repro.serve.workers import ScoringWorkerPool, attachment_report
 
 __all__ = [
     "BatcherClosed",
@@ -47,7 +44,5 @@ __all__ = [
     "RegistryWatcher",
     "ScoreClient",
     "ScoringServer",
-    "ScoringWorkerPool",
     "ServedModel",
-    "attachment_report",
 ]

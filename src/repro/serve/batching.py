@@ -91,8 +91,7 @@ class MicroBatcher:
     score_rows:
         Async callable mapping one ``(b, d)`` float64 block to ``b``
         scores.  Called once per formed batch; the callable decides
-        *where* scoring runs (inline, thread, or an mmap-attached
-        worker process — see :mod:`repro.serve.workers`).
+        *where* scoring runs (``ScoringServer`` uses an executor thread).
     window_s:
         Maximum seconds the first request of a batch waits for more
         rows.  ``0`` serves strictly per-request.

@@ -15,7 +15,7 @@ headers, ``Content-Length`` body, keep-alive).  Three endpoints:
 - ``GET /model`` — what is being served: spec, registry version,
   fingerprint, swap count.
 - ``GET /metrics`` — the Prometheus text exposition
-  (:mod:`repro.obs`): batcher, watcher, worker-pool, walk-engine, and
+  (:mod:`repro.obs`): batcher, watcher, walk-engine, and
   distance-counter families plus HTTP request counters/latency
   histograms.  ``metrics=False`` disables the whole telemetry tier
   (the route 404s and the hot paths skip every hook).
@@ -31,12 +31,10 @@ the numeric path is a counting proxy that delegates to the same
 kernels.
 
 Requests pass through :class:`~repro.serve.batching.MicroBatcher`, so
-concurrent single-row clients are scored as one engine batch.  Scoring
-runs off the event loop — in a thread (``workers=0``; the compiled
-nearest walk releases the GIL for its one call per batch) or on an
-mmap-attached
-:class:`~repro.serve.workers.ScoringWorkerPool` — so the loop keeps
-accepting and coalescing requests while a batch is being scored.
+concurrent single-row clients are scored as one engine batch.  Each
+batch is scored on an executor thread, off the event loop, so the loop
+keeps accepting and coalescing requests while a batch is being scored;
+the compiled nearest walk releases the GIL for its one call per batch.
 
 The serving boundary is hardened: malformed JSON, wrong-width rows,
 non-finite values, and oversized batches come back as structured 4xx
@@ -57,12 +55,10 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import tempfile
 import time
 import weakref
 from dataclasses import dataclass
 from http import HTTPStatus
-from pathlib import Path
 
 import numpy as np
 
@@ -72,7 +68,6 @@ from repro.metric.instrumentation import CountingMetricSpace, DistanceCounter
 from repro.obs import MetricsRegistry, RequestTrace, bind_process_sinks
 from repro.obs.tracing import access_logger
 from repro.serve.batching import BatcherClosed, BatcherOverloaded, MicroBatcher
-from repro.serve.workers import ScoringWorkerPool
 from repro.utils.validation import as_batch_rows
 
 #: Routes exposed as their own label value on the HTTP request
@@ -108,17 +103,30 @@ class HttpError(Exception):
         self.retry_after = retry_after
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """One line off the wire (``b""`` at EOF), or ``None`` when it is
+    longer than ``_MAX_HEADER_LINE``.
+
+    Past the stream's own buffer limit (64 KiB) ``readline`` raises
+    ``ValueError`` instead of returning the line; that is a long line too.
+    """
+    try:
+        line = await reader.readline()
+    except ValueError:
+        return None
+    return None if len(line) > _MAX_HEADER_LINE else line
+
+
 @dataclass(frozen=True)
 class ServedModel:
     """One immutable generation of the served model.
 
     Swaps replace the whole object, so a batch that snapshotted one
-    generation keeps a consistent (model, artifact, metadata) triple
-    for its entire dispatch.
+    generation keeps a consistent (model, metadata) pair for its
+    entire dispatch.
     """
 
     model: FittedModel
-    artifact: str | None = None  # .npz path workers attach to
     spec: str | None = None
     version: int | None = None
     fingerprint: str | None = None
@@ -147,12 +155,7 @@ class ScoringServer:
     model:
         The fitted model to serve (vector data: the HTTP boundary is
         JSON rows).  Must retain its training data — the width guard
-        and the worker artifact need it.
-    artifact:
-        Path of the model's published uncompressed ``.npz``
-        (e.g. ``ModelRecord.path``).  Required only with ``workers > 0``
-        — it is what the worker processes mmap-attach to; without one
-        the server publishes the model to a temporary artifact itself.
+        needs it.
     spec, version, fingerprint:
         Registry metadata surfaced by ``GET /model`` and used by the
         hot-swap watcher.
@@ -172,9 +175,6 @@ class ScoringServer:
         Listen-socket accept backlog handed to ``asyncio.start_server``
         — the second, kernel-level bound on how much unserved work can
         pile up behind the HTTP boundary.
-    workers:
-        ``0`` scores in a thread of this process; ``N >= 1`` scores on
-        N mmap-attached worker processes.
     metrics:
         ``True`` (default) builds this server's
         :class:`~repro.obs.MetricsRegistry`, serves it as
@@ -188,7 +188,6 @@ class ScoringServer:
         self,
         model: FittedModel,
         *,
-        artifact: str | Path | None = None,
         spec: str | None = None,
         version: int | None = None,
         fingerprint: str | None = None,
@@ -199,7 +198,6 @@ class ScoringServer:
         max_rows: int = 4096,
         max_pending: int | None = None,
         backlog: int = 128,
-        workers: int = 0,
         metrics: bool = True,
     ):
         if model.training_data is None or np.asarray(model.training_data).ndim != 2:
@@ -211,20 +209,12 @@ class ScoringServer:
             raise ValueError(f"max_rows must be >= 1, got {max_rows}")
         if backlog < 1:
             raise ValueError(f"backlog must be >= 1, got {backlog}")
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
         self.host = host
         self._requested_port = int(port)
         self.max_rows = int(max_rows)
         self.backlog = int(backlog)
-        self.workers = int(workers)
-        self._pool = ScoringWorkerPool(workers) if workers > 0 else None
-        self._owned_artifact: Path | None = None
-        if workers > 0 and artifact is None:
-            artifact = self._publish_temp_artifact(model)
         self._served = ServedModel(
             model,
-            artifact=None if artifact is None else str(artifact),
             spec=spec,
             version=version,
             fingerprint=fingerprint,
@@ -261,8 +251,8 @@ class ScoringServer:
 
         Existing signal sources surface as callback families (the
         registry reads the counters the components already maintain);
-        only genuinely new measurements — HTTP counters/latency, batch
-        histograms, per-worker tallies — are registry instruments.
+        only genuinely new measurements — HTTP counters/latency and batch
+        histograms — are registry instruments.
         """
         reg = self.metrics
         bind_process_sinks(reg)  # walk + engine process sinks
@@ -319,21 +309,6 @@ class ScoringServer:
             "Seconds inside the serving distance kernels",
             lambda: counter.seconds,
         )
-        self._m_worker_requests = reg.counter(
-            "repro_worker_requests_total",
-            "Engine batches scored, by worker process",
-            labelnames=("pid",),
-        )
-        self._m_worker_rows = reg.counter(
-            "repro_worker_rows_total",
-            "Rows scored, by worker process",
-            labelnames=("pid",),
-        )
-        self._m_worker_seconds = reg.counter(
-            "repro_worker_busy_seconds_total",
-            "Seconds spent scoring, by worker process",
-            labelnames=("pid",),
-        )
         #: (route, code) -> (counter child, histogram child): skips the
         #: family labels() lookup on the per-request path.  Bounded by
         #: _KNOWN_ROUTES x status codes actually answered.
@@ -371,7 +346,6 @@ class ScoringServer:
         self,
         model: FittedModel,
         *,
-        artifact: str | Path | None = None,
         spec: str | None = None,
         version: int | None = None,
         fingerprint: str | None = None,
@@ -380,18 +354,10 @@ class ScoringServer:
 
         In-flight batches hold their own :class:`ServedModel` snapshot
         and drain against the old generation; nothing is interrupted.
-        With workers, the new artifact path misses the workers' attach
-        cache, so they map the new version on first use.
         """
-        if self._pool is not None and artifact is None:
-            raise ValueError(
-                "hot swap with worker processes needs the new model's "
-                "artifact path (workers attach by path, not by pickle)"
-            )
         old = self._served
         self._served = ServedModel(
             model,
-            artifact=None if artifact is None else str(artifact),
             spec=spec if spec is not None else old.spec,
             version=version,
             fingerprint=fingerprint if fingerprint is not None else old.fingerprint,
@@ -402,25 +368,17 @@ class ScoringServer:
             self._instrument_generation(self._served)
         return self._served
 
-    def _publish_temp_artifact(self, model: FittedModel) -> Path:
-        """Self-publish ``model`` so workers have something to attach to."""
-        directory = Path(tempfile.mkdtemp(prefix="repro-serve-"))
-        path = directory / "model.npz"
-        model.save(path)
-        self._owned_artifact = path
-        return path
-
     # -- scoring -------------------------------------------------------------
 
     async def _score_block(self, rows: np.ndarray):
-        """Score one formed batch off the event loop.
+        """Score one formed batch on an executor thread.
 
         The generation snapshot happens here — once per engine batch —
         which is exactly the "swap between batches" contract.  With
         telemetry on the return is ``(scores, extras)``: batch facts
         the micro-batcher stamps onto every coalesced request's trace
-        (inner kernel seconds, the generation/version snapshot,
-        worker pid).  ``walk_s`` is the timed proxy's seconds delta:
+        (inner kernel seconds, the generation/version snapshot).
+        ``walk_s`` is the timed proxy's seconds delta:
         the compiled walk credits its kernel call there
         (:meth:`~repro.metric.base.MetricSpace.credit_evaluations`) and
         the proxy times the exact re-measurement, so the ``walk`` span
@@ -428,33 +386,17 @@ class ScoringServer:
         because the batcher dispatches batches strictly sequentially.
         """
         served = self._served
-        if self.metrics is None:
-            if self._pool is not None:
-                return await self._pool.score(served.artifact, rows)
-            return await asyncio.get_running_loop().run_in_executor(
-                None, lambda: np.asarray(served.model.score_batch(rows))
-            )
-        extras = {
-            "generation": served.generation,
-            "model_version": served.version,
-        }
-        if self._pool is not None:
-            scores, pid, seconds = await self._pool.score_traced(
-                served.artifact, rows
-            )
-            key = str(pid)
-            self._m_worker_requests.labels(key).inc()
-            self._m_worker_rows.labels(key).inc(float(rows.shape[0]))
-            self._m_worker_seconds.labels(key).inc(seconds)
-            extras["walk_s"] = seconds
-            extras["worker_pid"] = pid
-            return scores, extras
         before = self._distance_counter.seconds
         scores = await asyncio.get_running_loop().run_in_executor(
             None, lambda: np.asarray(served.model.score_batch(rows))
         )
-        extras["walk_s"] = self._distance_counter.seconds - before
-        return scores, extras
+        if self.metrics is None:
+            return scores
+        return scores, {
+            "generation": served.generation,
+            "model_version": served.version,
+            "walk_s": self._distance_counter.seconds - before,
+        }
 
     def _parse_rows(self, body: bytes) -> np.ndarray:
         """Request body -> validated ``(b, d)`` rows, or a structured 4xx."""
@@ -552,15 +494,15 @@ class ScoringServer:
         connection between requests).
         """
         try:
-            line = await reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError):
+            line = await _read_line(reader)
+        except ConnectionError:
             return None
-        if not line:
-            return None
-        if len(line) > _MAX_HEADER_LINE:
+        if line is None:
             raise HttpError(
                 HTTPStatus.REQUEST_URI_TOO_LONG, "bad_request", "request line too long"
             )
+        if not line:
+            return None
         parts = line.decode("latin-1").split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
             raise HttpError(
@@ -569,8 +511,8 @@ class ScoringServer:
         method, target = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
         while True:
-            line = await reader.readline()
-            if not line or len(line) > _MAX_HEADER_LINE:
+            line = await _read_line(reader)
+            if not line:  # too long, or EOF inside the headers
                 raise HttpError(
                     HTTPStatus.BAD_REQUEST, "bad_request", "malformed headers"
                 )
@@ -665,7 +607,6 @@ class ScoringServer:
             "ewma_batch_s": round(self.batcher.ewma_batch_s, 6),
             "window_s": self.batcher.window_s,
             "max_batch": self.batcher.max_batch,
-            "workers": self.workers,
             "model_version": served.version,
             "generation": served.generation,
             "uptime_s": round(time.perf_counter() - self._started_perf, 3),
@@ -741,7 +682,7 @@ class ScoringServer:
                 if request is None:
                     return
                 method, target, headers, body = request
-                keep_alive = headers.get("connection", "keep-alive") != "close"
+                keep_alive = headers.get("connection", "").lower() != "close"
                 path = target.split("?", 1)[0]
                 # Traces feed the access log and nothing else (the
                 # latency/batch histograms time themselves), so an
@@ -856,18 +797,9 @@ class ScoringServer:
             writer.close()
         if self._server is not None:
             await self._server.wait_closed()
-        if self._pool is not None:
-            self._pool.shutdown()
-        if self._owned_artifact is not None:
-            try:
-                self._owned_artifact.unlink()
-                self._owned_artifact.parent.rmdir()
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
-            self._owned_artifact = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ScoringServer({self._served.describe()!r}, "
-            f"window_s={self.batcher.window_s}, workers={self.workers})"
+            f"window_s={self.batcher.window_s})"
         )

@@ -106,7 +106,6 @@ class RegistryWatcher:
         model = load_model(record.path, mmap=self.mmap)
         self.server.swap_model(
             model,
-            artifact=record.path,
             spec=record.spec,
             version=record.version,
             fingerprint=record.fingerprint,

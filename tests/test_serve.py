@@ -1,7 +1,7 @@
-"""repro.serve: micro-batching, the HTTP boundary, workers, hot swap."""
+"""repro.serve: micro-batching, the HTTP boundary, hot swap."""
 
 import asyncio
-import os
+import json
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from repro.serve import (
     RegistryWatcher,
     ScoreClient,
     ScoringServer,
-    ScoringWorkerPool,
 )
 
 SPEC = "mccatch?index=vptree"
@@ -51,7 +50,6 @@ async def _started(model, record=None, **kwargs):
     meta = {}
     if record is not None:
         meta = dict(
-            artifact=record.path,
             spec=record.spec,
             version=record.version,
             fingerprint=record.fingerprint,
@@ -354,7 +352,7 @@ class TestServerScoring:
         assert health["status"] == "ok"
         assert health["rows_scored"] == len(batch)
         assert health["batches_dispatched"] == 1
-        assert health["workers"] == 0
+        assert "workers" not in health
 
     def test_model_endpoint_reports_registry_metadata(self, published, dataset):
         registry, record, model = published
@@ -522,67 +520,44 @@ class TestServingBoundary:
         assert responses[1][0] == 200
         assert responses[1][1]["scores"] == [direct[0]]
 
-
-class TestWorkers:
-    def test_worker_scores_bit_identical(self, published, batch):
-        registry, record, model = published
-        direct = model.score_batch(batch)
+    def _raw(self, model, record, data: bytes) -> bytes:
+        """Send raw bytes on a fresh connection; read until the server
+        closes it (a connection left open times out)."""
 
         async def inner():
-            server = await _started(model, record, window_s=0.005, workers=2)
-            client = await ScoreClient.connect("127.0.0.1", server.port)
+            server = await _started(model, record, window_s=0.0)
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
             try:
-                scores = await client.score_rows(batch)
-                # one connection is sequential; concurrency uses many clients
-                singles = [await client.score_row(batch[i]) for i in range(4)]
+                writer.write(data)
+                await writer.drain()
+                return await asyncio.wait_for(reader.read(), timeout=5.0)
             finally:
-                await client.close()
+                writer.close()
                 await server.stop()
-            return scores, singles
 
-        scores, singles = run(inner())
-        assert np.array_equal(scores, direct)
-        assert singles == [direct[i] for i in range(4)]
+        return run(inner())
 
-    def test_attachment_report_proves_mmap_sharing(self, published):
-        registry, record, model = published
-        pool = ScoringWorkerPool(2)
-        try:
-            reports = pool.attachment_reports(str(record.path), probes=2)
-        finally:
-            pool.shutdown()
-        assert len(reports) == 2
-        for report in reports:
-            assert report["pid"] != os.getpid()  # a real worker process
-            assert report["data_mmap"] is True   # data rows: views of the file
-            assert report["index_mmap"] is True  # tree arrays: views of the file
-            assert report["n_fitted"] == model.n_fitted
+    @pytest.mark.parametrize("data, status", [
+        (b"GET /" + b"a" * 100 * 1024 + b" HTTP/1.1\r\nHost: x\r\n\r\n", 414),
+        (b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 100 * 1024 + b"\r\n\r\n", 400),
+    ], ids=["request-line", "header-line"])
+    def test_line_past_the_stream_limit_is_a_structured_4xx(
+        self, client_server, data, status
+    ):
+        # past 64 KiB the stream reader raises instead of returning the
+        # line; the answer must match the one for an 8 KiB+ line
+        head, _, body = self._raw(*client_server, data).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % status)
+        assert json.loads(body)["error"]["code"] == "bad_request"
 
-    def test_self_published_artifact_when_no_registry(self, published, batch):
-        # workers without a registry artifact: the server publishes its
-        # own temp artifact and cleans it up on stop
-        registry, record, model = published
-        direct = model.score_batch(batch)
-
-        async def inner():
-            server = await _started(model, window_s=0.0, workers=1)
-            artifact = server.served.artifact
-            assert artifact is not None and os.path.exists(artifact)
-            client = await ScoreClient.connect("127.0.0.1", server.port)
-            try:
-                scores = await client.score_rows(batch)
-            finally:
-                await client.close()
-                await server.stop()
-            return scores, artifact
-
-        scores, artifact = run(inner())
-        assert np.array_equal(scores, direct)
-        assert not os.path.exists(artifact)  # cleaned up with the server
-
-    def test_pool_validation(self):
-        with pytest.raises(ValueError, match="workers"):
-            ScoringWorkerPool(0)
+    def test_connection_close_token_is_case_insensitive(self, client_server):
+        response = self._raw(
+            *client_server,
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: Close\r\n\r\n",
+        )
+        head = response.partition(b"\r\n\r\n")[0]
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert b"Connection: close" in head
 
 
 class TestHotSwap:
@@ -671,18 +646,32 @@ class TestHotSwap:
 
         run(inner())
 
-    def test_swap_with_workers_requires_artifact(self, published):
+    def test_direct_swap_scores_the_new_model(self, published, dataset, batch):
+        # no watcher and no artifact: swap_model alone moves the next
+        # batch onto the new model
         registry, record, model = published
+        v_old = model.score_batch(batch)
+        model2 = make_estimator(SPEC).fit(dataset + 100.0)
+        v_new = model2.score_batch(batch)
+        assert not np.array_equal(v_old, v_new)
 
         async def inner():
-            server = await _started(model, record, window_s=0.0, workers=1)
+            server = await _started(model, record, window_s=0.0)
+            client = await ScoreClient.connect("127.0.0.1", server.port)
             try:
-                with pytest.raises(ValueError, match="artifact"):
-                    server.swap_model(model)
+                before = await client.score_rows(batch)
+                server.swap_model(model2)
+                after = await client.score_rows(batch)
+                _, meta = await client.request("GET", "/model")
             finally:
+                await client.close()
                 await server.stop()
+            return before, after, meta
 
-        run(inner())
+        before, after, meta = run(inner())
+        assert np.array_equal(before, v_old)
+        assert np.array_equal(after, v_new)
+        assert meta["generation"] == 1
 
     def test_watcher_validation(self, published):
         registry, record, model = published
@@ -764,3 +753,9 @@ class TestServeCli:
     def test_missing_model_file_fails_loudly(self, tmp_path):
         with pytest.raises(SystemExit, match="error"):
             main(["serve", "--model", str(tmp_path / "missing.npz")])
+
+    @pytest.mark.parametrize("flag", ["--max-pending", "--poll"])
+    def test_negative_flag_rejected_before_the_model_loads(self, tmp_path, flag):
+        # the missing model would fail too: the flag must be refused first
+        with pytest.raises(SystemExit, match=flag.lstrip("-")):
+            main(["serve", "--model", str(tmp_path / "missing.npz"), flag, "-1"])
